@@ -1,9 +1,11 @@
 // Microbenchmarks of the convolution layer variants (plain, strided,
 // atrous, transposed) and the FP16 emulation overhead — plus the
 // batch-parallel engine comparison, which times forward+backward in both
-// engine modes and records them through BenchReport
-// (BENCH_micro_conv.json, the repo's conv perf-trajectory datapoint;
-// the ci.sh perf-smoke stage asserts parallel <= serial).
+// engine modes, the implicit-vs-im2col forward and implicit-vs-
+// materialized backward A/Bs, and the fused-epilogue chains, recording
+// them through BenchReport (BENCH_micro_conv.json, the repo's conv
+// perf-trajectory datapoint; the ci.sh perf-smoke stage gates them).
+// The materialized backward is the test oracle from tests/.
 //
 // Custom main: google-benchmark cases run first (skip them with
 // --benchmark_filter='-.*'), then the engine comparison.
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "conv_oracle.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/conv_engine.hpp"
@@ -227,6 +230,91 @@ void RunImplicitComparison(obs::BenchReport& report) {
   }
 }
 
+// ------------------------------- implicit backward vs materialized ----
+
+double TimeBackwardMs(Conv2d& conv, const Tensor& g) {
+  for (Param* p : conv.Params()) p->grad.SetZero();
+  const auto start = Clock::now();
+  Tensor gx = conv.Backward(g);
+  benchmark::DoNotOptimize(gx.Raw());
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+double TimeOracleMs(MaterializedConvOracle& oracle, Conv2d& conv,
+                    const Tensor& x, const Tensor& g) {
+  const auto start = Clock::now();
+  const OracleResult& r = oracle.Conv2dBackward(conv, x, g);
+  benchmark::DoNotOptimize(r.grad_input.Raw());
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+// Backward timing of the implicit path (weight gradient gathered from
+// the cached input, data gradient one tap panel at a time) against the
+// materialized im2col / grad-col / Col2Im oracle it replaced (bit-
+// identical gradients, so a pure perf A/B), plus the grad-col footprint
+// the implicit path eliminates per image.
+void RunBackwardComparison(obs::BenchReport& report) {
+  constexpr int kRounds = 7;
+  struct Shape {
+    const char* name;
+    Conv2d::Options opts;
+    std::int64_t h, w, batch;
+  };
+  const Shape shapes[] = {
+      {"b4", {.in_c = 32, .out_c = 32}, 48, 48, 4},
+      {"atrous",
+       {.in_c = 32, .out_c = 32, .kernel = 3, .pad = 4, .dilation = 4},
+       48, 48, 2},
+      {"stride2",
+       {.in_c = 16, .out_c = 32, .kernel = 3, .stride = 2, .pad = 1},
+       96, 96, 2},
+  };
+  std::printf(
+      "\nimplicit vs materialized backward (median of %d):\n"
+      "  %8s %14s %14s %9s %16s\n",
+      kRounds, "shape", "oracle [ms]", "implicit [ms]", "speedup",
+      "grad-col bytes/img");
+  for (const Shape& s : shapes) {
+    Rng xrng(3);
+    const Tensor x = Tensor::Uniform(
+        TensorShape::NCHW(s.batch, s.opts.in_c, s.h, s.w), xrng, -1, 1);
+    Rng rng(2);
+    Conv2d conv("c", s.opts, rng);
+    (void)conv.Forward(x, true);
+    Rng grng(4);
+    const Tensor g =
+        Tensor::Uniform(conv.OutputShape(x.shape()), grng, -1, 1);
+    const TensorShape out = g.shape();
+    const std::int64_t grad_col_bytes =
+        s.opts.in_c * s.opts.kernel * s.opts.kernel * out.h() * out.w() *
+        static_cast<std::int64_t>(sizeof(float));
+    MaterializedConvOracle oracle;
+    // Warm-up sizes the workspaces, row tables and col buffers.
+    (void)TimeOracleMs(oracle, conv, x, g);
+    (void)TimeBackwardMs(conv, g);
+    std::vector<double> times[2];
+    for (int r = 0; r < kRounds; ++r) {
+      // Alternate so both sides see the same machine state.
+      times[0].push_back(TimeOracleMs(oracle, conv, x, g));
+      times[1].push_back(TimeBackwardMs(conv, g));
+    }
+    report.AddSeries(std::string("conv_bwd_oracle_") + s.name + "_ms",
+                     times[0]);
+    report.AddSeries(std::string("conv_bwd_implicit_") + s.name + "_ms",
+                     times[1]);
+    const double oracle_ms = Summarize(times[0]).median;
+    const double implicit_ms = Summarize(times[1]).median;
+    const double speedup = implicit_ms > 0 ? oracle_ms / implicit_ms : 0;
+    report.AddScalar(std::string("implicit_bwd_speedup_") + s.name, speedup);
+    report.AddScalar(std::string("grad_col_bytes_eliminated_") + s.name,
+                     static_cast<double>(grad_col_bytes));
+    std::printf("  %8s %14.3f %14.3f %8.2fx %16lld\n", s.name, oracle_ms,
+                implicit_ms, speedup, static_cast<long long>(grad_col_bytes));
+  }
+}
+
 // ---------------------------------------- fused epilogue chains --------
 
 // Eval-mode Conv2d→BatchNorm2d→ReLU: unfused layer walk vs the fused
@@ -287,6 +375,7 @@ void RunComparisons() {
                    static_cast<double>(ThreadPool::Global().size() + 1));
   RunEngineComparison(report);
   RunImplicitComparison(report);
+  RunBackwardComparison(report);
   RunFusionComparison(report);
   const auto path = report.WriteJsonFile();
   if (!path.empty()) std::printf("  wrote %s\n", path.string().c_str());

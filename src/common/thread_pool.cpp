@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/sync.hpp"
+#include "common/workspace.hpp"
 
 namespace exaclim {
 
@@ -36,6 +37,10 @@ ThreadPool::ThreadPool(std::size_t threads) {
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  // Workers size their scratch before the pool is handed out, so the
+  // reservations land at construction, never inside a caller's step.
+  MutexLock lock(join_mutex_);
+  while (workers_ready_ < workers) join_cv_.Wait(lock);
 }
 
 ThreadPool::~ThreadPool() {
@@ -102,6 +107,12 @@ void ThreadPool::AwaitJoin(JoinCounter& join) {
 }
 
 void ThreadPool::WorkerLoop() {
+  ReserveGemmPackScratch();
+  {
+    MutexLock lock(join_mutex_);
+    ++workers_ready_;
+  }
+  join_cv_.NotifyAll();
   for (;;) {
     Task task;
     {

@@ -17,6 +17,10 @@ namespace exaclim {
 /// one per worker, and blocks until all complete — deterministic
 /// partitioning keeps reductions reproducible.
 ///
+/// Each worker reserves its GEMM pack scratch at its block maxima before
+/// the constructor returns (ReserveGemmPackScratch), so which worker runs
+/// which task never decides whether a warmed step allocates.
+///
 /// Dispatch is allocation-free in steady state (DESIGN §12): blocks are
 /// POD Task records in a grow-only ring buffer, the callable travels as
 /// a non-owning FunctionRef (no std::function closure heap), and the
@@ -106,9 +110,12 @@ class ThreadPool {
   std::size_t dequeued_ EXACLIM_GUARDED_BY(mutex_) = 0;
 
   // Join rendezvous, shared by all concurrent ParallelFor callers (the
-  // counters disambiguate; spurious wakeups re-check and re-wait).
+  // counters disambiguate; spurious wakeups re-check and re-wait). The
+  // constructor also waits here until every worker has reserved its
+  // GEMM pack scratch.
   Mutex join_mutex_;
   CondVar join_cv_;
+  std::size_t workers_ready_ EXACLIM_GUARDED_BY(join_mutex_) = 0;
 };
 
 /// Convenience wrapper over ThreadPool::Global().ParallelFor.

@@ -45,6 +45,11 @@ float* AcquireScratch(ScratchSlot slot, std::size_t elems) {
   return buf.data();
 }
 
+void ReserveGemmPackScratch() {
+  (void)AcquireScratch(ScratchSlot::kGemmPackA, kGemmPackAElems);
+  (void)AcquireScratch(ScratchSlot::kGemmPackB, kGemmPackBElems);
+}
+
 std::uint16_t* AcquireScratchU16(ScratchSlot slot, std::size_t elems) {
   // Two packed words per float element; round up so odd counts fit.
   return reinterpret_cast<std::uint16_t*>(

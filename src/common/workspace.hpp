@@ -48,6 +48,20 @@ enum class ScratchSlot {
   kSlotCount,
 };
 
+/// Block-constant capacities of the packed GEMM engine's pack streams:
+/// MC x KC floats of A panels and KC x NC floats of B panels
+/// (tensor/gemm_kernel.cpp static_asserts the match). The engine always
+/// acquires exactly these sizes, so each stream grows at most once per
+/// thread.
+inline constexpr std::size_t kGemmPackAElems = std::size_t{144} * 256;
+inline constexpr std::size_t kGemmPackBElems = std::size_t{256} * 2048;
+
+/// Grows this thread's GEMM pack streams to their block maxima. Every
+/// ThreadPool worker calls it before taking its first task, so the
+/// worker that happens to run a GEMM task never grows scratch mid-step:
+/// a warmed step allocates nothing on any schedule (DESIGN §12).
+void ReserveGemmPackScratch();
+
 /// Human-readable stream name ("gemm.pack_a", ...), for diagnostics.
 const char* ScratchSlotName(ScratchSlot slot);
 

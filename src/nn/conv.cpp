@@ -1,8 +1,10 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -97,6 +99,72 @@ ConvAlgorithm DefaultConvAlgorithm() {
 
 void SetDefaultConvAlgorithm(ConvAlgorithm algo) {
   DefaultAlgorithmFlag().store(algo, std::memory_order_relaxed);
+}
+
+// ----------------------------------------------------- ConvDataGrad -----
+
+void ConvDataGrad::Prepare(const ConvGeometry& g, std::int64_t out_c,
+                           const float* w) {
+  const std::int64_t n_taps = g.k_h * g.k_w;
+  if (static_cast<std::int64_t>(packed_.size()) != n_taps) {
+    packed_.resize(static_cast<std::size_t>(n_taps));
+    taps_.clear();  // tap pointers into packed_ are stale
+  }
+  // W_t^T[ci][oc] = w[oc*patch + ci*n_taps + t]: the rows of the
+  // materialized W^T operand that belong to tap t, same values.
+  for (std::int64_t t = 0; t < n_taps; ++t) {
+    packed_[static_cast<std::size_t>(t)].PackStrided(
+        g.in_c, out_c, /*row_stride=*/n_taps, /*col_stride=*/g.PatchSize(),
+        w + t);
+  }
+  if (g == g_ && out_c == out_c_ && !taps_.empty()) return;
+  g_ = g;
+  out_c_ = out_c;
+  BuildDataGradPlan(g, packed_.data(), &phases_, &taps_);
+  scratch_elems_ = 0;
+  if (g.stride > 1) {
+    for (const ConvPhase& ph : phases_) {
+      scratch_elems_ =
+          std::max(scratch_elems_, g.in_c * ph.grid_h * ph.grid_w);
+    }
+  }
+}
+
+void ConvDataGrad::Run(const float* grad, float* image, float* scratch) const {
+  const std::int64_t s = g_.stride;
+  const std::int64_t in_plane = g_.in_h * g_.in_w;
+  GemmImplicitB b;
+  b.image = grad;
+  b.in_row_stride = g_.OutW();
+  b.stride = 1;
+  for (const ConvPhase& ph : phases_) {
+    b.out_h = ph.grid_h;
+    b.out_w = ph.grid_w;
+    const GemmConvTap* taps = taps_.data() + ph.first_tap;
+    if (s == 1) {
+      GemmPackedImplicitDataGrad(taps, ph.n_taps, b, g_.OutPixels(), image);
+      continue;
+    }
+    // hot-path: begin
+    const std::int64_t grid = ph.grid_h * ph.grid_w;
+    std::memset(scratch, 0,
+                static_cast<std::size_t>(g_.in_c * grid) * sizeof(float));
+    GemmPackedImplicitDataGrad(taps, ph.n_taps, b, g_.OutPixels(), scratch);
+    // Each image pixel belongs to exactly one phase, which holds its
+    // whole tap sum: a copy, not an add.
+    for (std::int64_t c = 0; c < g_.in_c; ++c) {
+      const float* src = scratch + c * grid;
+      float* dst = image + c * in_plane + ph.py * g_.in_w + ph.px;
+      for (std::int64_t qy = 0; qy < ph.grid_h; ++qy) {
+        float* drow = dst + qy * s * g_.in_w;
+        const float* srow = src + qy * ph.grid_w;
+        for (std::int64_t qx = 0; qx < ph.grid_w; ++qx) {
+          drow[qx * s] = srow[qx];
+        }
+      }
+    }
+    // hot-path: end
+  }
 }
 
 // ----------------------------------------------------------- Conv2d -----
@@ -227,8 +295,8 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
   // hot path — only the kIm2Col reference still materializes patches.
   const std::int64_t col_elems =
       algo == ConvAlgorithm::kIm2Col ? g.PatchSize() * g.OutPixels() : 0;
-  workspace_.Configure(shards, col_elems, /*grad_col_elems=*/0,
-                       /*weight_elems=*/0, /*bias_elems=*/0);
+  workspace_.Configure(shards, col_elems, /*weight_elems=*/0,
+                       /*bias_elems=*/0);
   const GemmImplicitRow* rows = algo == ConvAlgorithm::kImplicitGemm ||
                                         algo == ConvAlgorithm::kIm2Col
                                     ? workspace_.ImplicitRows(g)
@@ -273,7 +341,7 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
         GemmPackedImplicit(packed_weight_, bsrc, 0.0f,
                            output.Raw() + n * out_stride, epi_ptr);
       } else if (algo == ConvAlgorithm::kIm2Col) {
-        float* col = workspace_.Col(s);
+        float* col = workspace_.Scratch(s);
         Im2ColFromRows(g, rows, input.Raw() + n * in_stride, col);
         // out[out_c, P] = W[out_c, patch] @ col[patch, P]
         if (prepacked) {
@@ -321,9 +389,13 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
 
   Tensor grad_input(in_shape);
   const Tensor& w = ComputeWeight();
-  // Backward always uses the GEMM formulation (cuDNN similarly selects
-  // backward algorithms independently of the forward choice); the
-  // pointwise fast path just skips the patch buffers.
+  // Backward runs on the packed engine whatever the forward algorithm
+  // or EXACLIM_GEMM_KERNEL (cuDNN likewise picks backward algorithms
+  // independently of the forward), and never materializes a patch
+  // matrix (DESIGN §15): the weight gradient gathers col^T panels
+  // straight from the cached input, the data gradient walks one GEMM
+  // panel per kernel tap. The pointwise fast path needs neither: its
+  // activation map already is the patch matrix.
   //
   // Weight/bias gradients go through per-shard accumulators merged by a
   // fixed-order tree so the batch-parallel result is bit-identical to the
@@ -331,31 +403,20 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   const bool pointwise = UsePointwiseFastPath();
   const std::int64_t batch = in_shape.n();
   const std::int64_t shards = ConvGradShards(batch);
-  const std::int64_t col_elems =
-      pointwise ? 0 : g.PatchSize() * g.OutPixels();
-  workspace_.Configure(shards, col_elems, col_elems,
-                       weight_.grad.NumElements(),
-                       bias_ ? opts_.out_c : 0);
+  // W^T (pointwise) or the per-tap W_t^T panels are packed once and
+  // shared read-only across shards.
+  if (pointwise) {
+    packed_weight_bwd_.Pack(true, g.in_c, opts_.out_c, 1.0f, w.Raw());
+  } else {
+    data_grad_.Prepare(g, opts_.out_c, w.Raw());
+  }
+  workspace_.Configure(shards, pointwise ? 0 : data_grad_.ScratchElems(),
+                       weight_.grad.NumElements(), bias_ ? opts_.out_c : 0);
   workspace_.ZeroGradAccumulators();
-  // Geometry-dependent im2col setup hoisted out of the n-loop: the table
-  // is shared read-only by all shards (and is already warm whenever the
-  // forward pass ran the implicit path on the same geometry).
   const GemmImplicitRow* rows =
       pointwise ? nullptr : workspace_.ImplicitRows(g);
   const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_stride = opts_.out_c * g.OutPixels();
-  // The data gradient multiplies by W^T for every image; prepack the
-  // transposed panels once and share across shards. Weight-gradient GEMMs
-  // keep the plain entry point (their left operand changes per image).
-  const bool prepacked = GemmUsesPackedEngine();
-  if (prepacked) {
-    if (pointwise) {
-      packed_weight_bwd_.Pack(true, g.in_c, opts_.out_c, 1.0f, w.Raw());
-    } else {
-      packed_weight_bwd_.Pack(true, g.PatchSize(), opts_.out_c, 1.0f,
-                              w.Raw());
-    }
-  }
 
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
@@ -363,32 +424,26 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
     float* bgrad = bias_ ? workspace_.BiasGrad(s) : nullptr;
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
       const float* gout = grad_output.Raw() + n * out_stride;
+      const float* x = cached_input_.Raw() + n * in_stride;
+      float* gx = grad_input.Raw() + n * in_stride;
       if (pointwise) {
-        Gemm(false, true, opts_.out_c, g.in_c, g.OutPixels(), 1.0f, gout,
-             cached_input_.Raw() + n * in_stride, 1.0f, wgrad);
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout,
-                          0.0f, grad_input.Raw() + n * in_stride);
-        } else {
-          Gemm(true, false, g.in_c, g.OutPixels(), opts_.out_c, 1.0f,
-               w.Raw(), gout, 0.0f, grad_input.Raw() + n * in_stride);
-        }
+        GemmPacked(false, true, opts_.out_c, g.in_c, g.OutPixels(), 1.0f,
+                   gout, x, 1.0f, wgrad);
+        GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout, 0.0f,
+                        gx);
       } else {
-        // Weight gradient: gW[out_c, patch] += gout[out_c, P] @ col^T.
-        float* col = workspace_.Col(s);
-        float* grad_col = workspace_.GradCol(s);
-        Im2ColFromRows(g, rows, cached_input_.Raw() + n * in_stride, col);
-        Gemm(false, true, opts_.out_c, g.PatchSize(), g.OutPixels(), 1.0f,
-             gout, col, 1.0f, wgrad);
-        // Data gradient: gcol[patch, P] = W^T @ gout; scatter back.
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout,
-                          0.0f, grad_col);
-        } else {
-          Gemm(true, false, g.PatchSize(), g.OutPixels(), opts_.out_c, 1.0f,
-               w.Raw(), gout, 0.0f, grad_col);
-        }
-        Col2Im(g, grad_col, grad_input.Raw() + n * in_stride);
+        // gW[out_c, patch] += gout[out_c, P] @ implicit-im2col(x)^T
+        GemmImplicitB bsrc;
+        bsrc.image = x;
+        bsrc.rows = rows;
+        bsrc.out_h = g.OutH();
+        bsrc.out_w = g.OutW();
+        bsrc.in_row_stride = g.in_w;
+        bsrc.stride = g.stride;
+        GemmPackedImplicitWeightGrad(opts_.out_c, g.PatchSize(), gout, bsrc,
+                                     1.0f, wgrad);
+        // gx = Col2Im(W^T @ gout), one tap panel at a time
+        data_grad_.Run(gout, gx, workspace_.Scratch(s));
       }
       if (bgrad != nullptr) {
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {
@@ -482,30 +537,21 @@ Tensor ConvTranspose2d::Forward(const Tensor& input, bool /*train*/) {
   const std::int64_t pixels = input.shape().h() * input.shape().w();
   const std::int64_t batch = input.shape().n();
   const std::int64_t shards = ConvGradShards(batch);
-  workspace_.Configure(shards, g.PatchSize() * pixels, /*grad_col_elems=*/0,
-                       /*weight_elems=*/0, /*bias_elems=*/0);
+  // The deconv forward is the underlying conv's data gradient: W is that
+  // conv's [in_c, out_c*k*k] weight matrix, the input its output grad.
+  data_grad_.Prepare(g, opts_.in_c, w.Raw());
+  workspace_.Configure(shards, data_grad_.ScratchElems(), /*weight_elems=*/0,
+                       /*bias_elems=*/0);
   const std::int64_t in_stride = opts_.in_c * pixels;
   const std::int64_t out_stride = opts_.out_c * out_shape.h() * out_shape.w();
 
-  const bool prepacked = GemmUsesPackedEngine();
-  if (prepacked) {
-    packed_weight_.Pack(true, g.PatchSize(), opts_.in_c, 1.0f, w.Raw());
-  }
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
-    float* col = workspace_.Col(s);
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
-      // col[out_c*k*k, P] = W^T[out_c*k*k, in_c] @ x[in_c, P]
-      if (prepacked) {
-        GemmPackedWithA(packed_weight_, false, pixels,
-                        input.Raw() + n * in_stride, 0.0f, col);
-      } else {
-        Gemm(true, false, g.PatchSize(), pixels, opts_.in_c, 1.0f, w.Raw(),
-             input.Raw() + n * in_stride, 0.0f, col);
-      }
-      Col2Im(g, col, output.Raw() + n * out_stride);
+      float* out_n = output.Raw() + n * out_stride;
+      data_grad_.Run(input.Raw() + n * in_stride, out_n,
+                     workspace_.Scratch(s));
       if (bias_) {
-        float* out_n = output.Raw() + n * out_stride;
         const std::int64_t plane = out_shape.h() * out_shape.w();
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {
           const float b = bias_->value[static_cast<std::size_t>(c)];
@@ -533,40 +579,37 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
   const std::int64_t pixels = in_shape.h() * in_shape.w();
   const std::int64_t batch = in_shape.n();
   const std::int64_t shards = ConvGradShards(batch);
-  workspace_.Configure(shards, g.PatchSize() * pixels, /*grad_col_elems=*/0,
-                       weight_.grad.NumElements(),
-                       bias_ ? opts_.out_c : 0);
+  workspace_.Configure(shards, /*scratch_elems=*/0,
+                       weight_.grad.NumElements(), bias_ ? opts_.out_c : 0);
   workspace_.ZeroGradAccumulators();
   const std::int64_t in_stride = opts_.in_c * pixels;
   const std::int64_t out_stride = opts_.out_c * out_shape.h() * out_shape.w();
-  const bool prepacked = GemmUsesPackedEngine();
-  if (prepacked) {
-    packed_weight_bwd_.Pack(false, opts_.in_c, g.PatchSize(), 1.0f, w.Raw());
-  }
-  // The fix for the per-batch-element Im2Col: all geometry-dependent
-  // setup (bounds, offsets) is computed once per geometry here; the
-  // n-loop below does pure data movement through the row table.
+  // The data gradient is the underlying conv's forward, so it reuses the
+  // implicit forward path; both GEMMs gather their B panels from the
+  // output gradient through the geometry's row table.
+  packed_weight_.Pack(false, opts_.in_c, g.PatchSize(), 1.0f, w.Raw());
   const GemmImplicitRow* rows = workspace_.ImplicitRows(g);
 
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
-    float* col = workspace_.Col(s);
     float* wgrad = workspace_.WeightGrad(s);
     float* bgrad = bias_ ? workspace_.BiasGrad(s) : nullptr;
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
       const float* gout = grad_output.Raw() + n * out_stride;
-      Im2ColFromRows(g, rows, gout, col);
-      // Data gradient: gx[in_c, P] = W[in_c, patch] @ col[patch, P]
-      if (prepacked) {
-        GemmPackedWithA(packed_weight_bwd_, false, pixels, col, 0.0f,
-                        grad_input.Raw() + n * in_stride);
-      } else {
-        Gemm(false, false, opts_.in_c, pixels, g.PatchSize(), 1.0f, w.Raw(),
-             col, 0.0f, grad_input.Raw() + n * in_stride);
-      }
-      // Weight gradient: gW[in_c, patch] += x[in_c, P] @ col[patch, P]^T
-      Gemm(false, true, opts_.in_c, g.PatchSize(), pixels, 1.0f,
-           cached_input_.Raw() + n * in_stride, col, 1.0f, wgrad);
+      GemmImplicitB bsrc;
+      bsrc.image = gout;
+      bsrc.rows = rows;
+      bsrc.out_h = g.OutH();
+      bsrc.out_w = g.OutW();
+      bsrc.in_row_stride = g.in_w;
+      bsrc.stride = g.stride;
+      // gx[in_c, P] = W[in_c, patch] @ implicit-im2col(gout)
+      GemmPackedImplicit(packed_weight_, bsrc, 0.0f,
+                         grad_input.Raw() + n * in_stride);
+      // gW[in_c, patch] += x[in_c, P] @ implicit-im2col(gout)^T
+      GemmPackedImplicitWeightGrad(opts_.in_c, g.PatchSize(),
+                                   cached_input_.Raw() + n * in_stride, bsrc,
+                                   1.0f, wgrad);
       if (bgrad != nullptr) {
         const std::int64_t plane = out_shape.h() * out_shape.w();
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "nn/conv_engine.hpp"
 #include "nn/im2col.hpp"
@@ -20,9 +21,11 @@ namespace exaclim {
 /// activation map — the same FLOPs, less memory traffic). kAuto picks
 /// kDirect for pointwise geometries and kImplicitGemm elsewhere.
 /// kImplicitGemm needs the packed engine, so under
-/// EXACLIM_GEMM_KERNEL=reference it resolves to kIm2Col. All algorithms
-/// produce bit-identical forward outputs (the sweep in
-/// tests/test_conv_algorithms.cpp holds them to it).
+/// EXACLIM_GEMM_KERNEL=reference the forward resolves to kIm2Col. All
+/// algorithms produce bit-identical forward outputs (the sweep in
+/// tests/test_conv_algorithms.cpp holds them to it). The algorithm picks
+/// the forward only: backward always runs the implicit packed-engine
+/// path (ConvDataGrad, GemmPackedImplicitWeightGrad).
 enum class ConvAlgorithm { kAuto, kIm2Col, kImplicitGemm, kDirect };
 
 const char* ToString(ConvAlgorithm algo);
@@ -61,6 +64,40 @@ struct ConvFusedOps {
   bool Empty() const {
     return bn_mean == nullptr && !relu && relu_mask == nullptr;
   }
+};
+
+/// The data gradient of one convolution geometry without a grad-col
+/// buffer (DESIGN §15): image[in_c, in_h, in_w] = Col2Im(W^T * grad),
+/// computed by GemmPackedImplicitDataGrad one kernel-tap panel at a time.
+/// Input pixels split into stride x stride phases (BuildDataGradPlan);
+/// each phase is a stride-1 tap GEMM over its own pixel grid. At stride 1
+/// the one phase is the image itself; otherwise each phase accumulates
+/// in caller scratch and is copied into the image. Bit-identical to the
+/// materialized grad-col GEMM followed by Col2Im.
+class ConvDataGrad {
+ public:
+  /// Packs the per-tap A panels W_t^T [in_c, out_c] from the weight
+  /// matrix w [out_c, in_c*k_h*k_w] (read-only afterwards, so shards
+  /// share them) and rebuilds the phase plan when `g` changed. Storage
+  /// is grow-only: a layer's steady-state geometry never reallocates.
+  void Prepare(const ConvGeometry& g, std::int64_t out_c, const float* w);
+
+  /// Floats of per-shard scratch Run needs: in_c times the largest phase
+  /// grid at stride > 1, 0 at stride 1.
+  std::int64_t ScratchElems() const { return scratch_elems_; }
+
+  /// image (zeroed by the caller, [in_c, in_h, in_w]) receives the data
+  /// gradient of grad [out_c, out_h, out_w]; scratch holds
+  /// ScratchElems() floats private to the calling shard.
+  void Run(const float* grad, float* image, float* scratch) const;
+
+ private:
+  ConvGeometry g_;
+  std::int64_t out_c_ = 0;
+  std::int64_t scratch_elems_ = 0;
+  std::vector<PackedGemmA> packed_;  // W_t^T per tap, t = kh*k_w + kw
+  std::vector<ConvPhase> phases_;
+  std::vector<GemmConvTap> taps_;    // the plan's taps, phase by phase
 };
 
 /// 2-D convolution (NCHW) with stride, zero padding and dilation (atrous).
@@ -117,13 +154,14 @@ class Conv2d : public Layer {
   std::optional<Param> bias_;
   Tensor quantised_weight_;  // scratch for FP16 emulation
   Tensor cached_input_;      // saved for the backward pass
-  ConvWorkspace workspace_;  // per-shard col/grad buffers (DESIGN §9)
+  ConvWorkspace workspace_;  // per-shard scratch/grad buffers (DESIGN §9)
   // Weight matrix prepacked into the GEMM engine's A-panel layout, once
   // per Forward/Backward and shared read-only across batch shards
-  // (forward uses W, backward's data gradient W^T — different layouts,
-  // so each direction keeps its own panel buffer).
+  // (forward uses W; the pointwise backward's data gradient W^T;
+  // every other backward the per-tap W_t^T panels of data_grad_).
   PackedGemmA packed_weight_;
   PackedGemmA packed_weight_bwd_;
+  ConvDataGrad data_grad_;
 };
 
 /// Transposed convolution ("deconv", light-blue layers of Fig 1) used by
@@ -164,8 +202,10 @@ class ConvTranspose2d : public Layer {
   Tensor quantised_weight_;
   Tensor cached_input_;
   ConvWorkspace workspace_;
-  PackedGemmA packed_weight_;      // forward: W^T panels
-  PackedGemmA packed_weight_bwd_;  // backward data gradient: W panels
+  // Forward is the underlying conv's data gradient; backward's data
+  // gradient is the underlying conv's implicit forward with W panels.
+  ConvDataGrad data_grad_;
+  PackedGemmA packed_weight_;
 };
 
 }  // namespace exaclim

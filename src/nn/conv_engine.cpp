@@ -93,19 +93,16 @@ void RunConvShards(std::int64_t shards,
   ParallelFor(0, static_cast<std::size_t>(shards), run_range, /*grain=*/1);
 }
 
-void ConvWorkspace::Configure(std::int64_t shards, std::int64_t col_elems,
-                              std::int64_t grad_col_elems,
+void ConvWorkspace::Configure(std::int64_t shards, std::int64_t scratch_elems,
                               std::int64_t weight_elems,
                               std::int64_t bias_elems) {
   EXACLIM_CHECK(shards >= 1, "workspace needs at least one shard");
-  if (shards == shards_ && col_elems == col_elems_ &&
-      grad_col_elems == grad_col_elems_ && weight_elems == weight_elems_ &&
-      bias_elems == bias_elems_) {
+  if (shards == shards_ && scratch_elems == scratch_elems_ &&
+      weight_elems == weight_elems_ && bias_elems == bias_elems_) {
     return;
   }
   shards_ = shards;
-  col_elems_ = col_elems;
-  grad_col_elems_ = grad_col_elems;
+  scratch_elems_ = scratch_elems;
   weight_elems_ = weight_elems;
   bias_elems_ = bias_elems;
   // Re-acquire only families that no longer fit: the old block returns
@@ -115,18 +112,13 @@ void ConvWorkspace::Configure(std::int64_t shards, std::int64_t col_elems,
       buf = AcquirePoolBuffer(static_cast<std::size_t>(elems));
     }
   };
-  fit(col_, shards * col_elems);
-  fit(grad_col_, shards * grad_col_elems);
+  fit(scratch_, shards * scratch_elems);
   fit(weight_grad_, shards * weight_elems);
   fit(bias_grad_, shards * bias_elems);
 }
 
-float* ConvWorkspace::Col(std::int64_t shard) {
-  return col_.data() + shard * col_elems_;
-}
-
-float* ConvWorkspace::GradCol(std::int64_t shard) {
-  return grad_col_.data() + shard * grad_col_elems_;
+float* ConvWorkspace::Scratch(std::int64_t shard) {
+  return scratch_.data() + shard * scratch_elems_;
 }
 
 float* ConvWorkspace::WeightGrad(std::int64_t shard) {

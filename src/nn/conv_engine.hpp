@@ -59,8 +59,9 @@ ConvShardRange ShardImageRange(std::int64_t n, std::int64_t shards,
 void RunConvShards(std::int64_t shards,
                    FunctionRef<void(std::int64_t)> fn);
 
-/// Reusable per-layer workspace for the im2col lowering: per-shard
-/// col / grad-col panels plus per-shard weight/bias gradient
+/// Reusable per-layer conv workspace: a per-shard scratch panel (the
+/// opt-in kIm2Col forward's patch matrix, or the strided data
+/// gradient's phase image) plus per-shard weight/bias gradient
 /// accumulators. Buffers are pooled blocks (common/pool.hpp), sized once
 /// per (geometry, shard-count) and reused across Forward/Backward calls
 /// — the per-call allocations this replaces dominated small-GEMM conv
@@ -70,12 +71,10 @@ class ConvWorkspace {
  public:
   /// (Re)sizes the buffers; cheap no-op when nothing changed. Element
   /// counts of zero skip the corresponding buffer family.
-  void Configure(std::int64_t shards, std::int64_t col_elems,
-                 std::int64_t grad_col_elems, std::int64_t weight_elems,
-                 std::int64_t bias_elems);
+  void Configure(std::int64_t shards, std::int64_t scratch_elems,
+                 std::int64_t weight_elems, std::int64_t bias_elems);
 
-  float* Col(std::int64_t shard);
-  float* GradCol(std::int64_t shard);
+  float* Scratch(std::int64_t shard);
   float* WeightGrad(std::int64_t shard);
   float* BiasGrad(std::int64_t shard);
 
@@ -100,12 +99,10 @@ class ConvWorkspace {
 
  private:
   std::int64_t shards_ = 0;
-  std::int64_t col_elems_ = 0;
-  std::int64_t grad_col_elems_ = 0;
+  std::int64_t scratch_elems_ = 0;
   std::int64_t weight_elems_ = 0;
   std::int64_t bias_elems_ = 0;
-  PoolBuffer col_;
-  PoolBuffer grad_col_;
+  PoolBuffer scratch_;
   PoolBuffer weight_grad_;
   PoolBuffer bias_grad_;
   ConvGeometry rows_geometry_;  // geometry rows_ was built for

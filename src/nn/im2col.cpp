@@ -115,29 +115,50 @@ void Im2ColFromRows(const ConvGeometry& g, const GemmImplicitRow* rows,
   }
 }
 
-void Col2Im(const ConvGeometry& g, const float* col, float* image) {
+void BuildDataGradPlan(const ConvGeometry& g, const PackedGemmA* tap_panels,
+                       std::vector<ConvPhase>* phases,
+                       std::vector<GemmConvTap>* taps) {
+  phases->clear();
+  taps->clear();
+  const std::int64_t s = g.stride;
   const std::int64_t out_h = g.OutH();
   const std::int64_t out_w = g.OutW();
-  const std::int64_t hw = g.in_h * g.in_w;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.in_c; ++c) {
-    float* plane = image + c * hw;
-    for (std::int64_t kh = 0; kh < g.k_h; ++kh) {
-      for (std::int64_t kw = 0; kw < g.k_w; ++kw, ++row) {
-        const float* src = col + row * (out_h * out_w);
+  // Non-negative residue of a tap shift: the phase it lands on.
+  const auto residue = [s](std::int64_t d) { return ((d % s) + s) % s; };
+  for (std::int64_t py = 0; py < s; ++py) {
+    for (std::int64_t px = 0; px < s; ++px) {
+      ConvPhase ph;
+      ph.py = py;
+      ph.px = px;
+      ph.grid_h = g.in_h > py ? (g.in_h - py + s - 1) / s : 0;
+      ph.grid_w = g.in_w > px ? (g.in_w - px + s - 1) / s : 0;
+      ph.first_tap = static_cast<std::int64_t>(taps->size());
+      if (ph.grid_h == 0 || ph.grid_w == 0) continue;
+      for (std::int64_t kh = 0; kh < g.k_h; ++kh) {
         const std::int64_t dy = kh * g.dilation - g.pad;
-        const std::int64_t dx = kw * g.dilation - g.pad;
-        for (std::int64_t oy = 0; oy < out_h; ++oy) {
-          const std::int64_t iy = oy * g.stride + dy;
-          if (iy < 0 || iy >= g.in_h) continue;
-          const float* src_row = src + oy * out_w;
-          float* dst_row = plane + iy * g.in_w;
-          for (std::int64_t ox = 0; ox < out_w; ++ox) {
-            const std::int64_t ix = ox * g.stride + dx;
-            if (ix >= 0 && ix < g.in_w) dst_row[ix] += src_row[ox];
+        if (residue(dy) != py) continue;
+        for (std::int64_t kw = 0; kw < g.k_w; ++kw) {
+          const std::int64_t dx = kw * g.dilation - g.pad;
+          if (residue(dx) != px) continue;
+          // Grid pixel (qy, qx) is input pixel (py + s*qy, px + s*qx),
+          // fed by output pixel (qy + ey, qx + ex).
+          const std::int64_t ey = (py - dy) / s;
+          const std::int64_t ex = (px - dx) / s;
+          GemmConvTap t;
+          t.a = tap_panels + kh * g.k_w + kw;
+          t.row.offset = ey * out_w + ex;
+          t.row.oy_lo = std::max<std::int64_t>(0, -ey);
+          t.row.oy_hi = std::max(t.row.oy_lo, std::min(ph.grid_h, out_h - ey));
+          t.row.ox_lo = std::max<std::int64_t>(0, -ex);
+          t.row.ox_hi = std::max(t.row.ox_lo, std::min(ph.grid_w, out_w - ex));
+          if (t.row.oy_hi == t.row.oy_lo || t.row.ox_hi == t.row.ox_lo) {
+            continue;
           }
+          taps->push_back(t);
         }
       }
+      ph.n_taps = static_cast<std::int64_t>(taps->size()) - ph.first_tap;
+      if (ph.n_taps > 0) phases->push_back(ph);
     }
   }
 }

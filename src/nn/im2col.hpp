@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/gemm_kernel.hpp"
 
@@ -41,11 +42,6 @@ struct ConvGeometry {
 /// that turns convolution into GEMM (the "implicit GEMM" form of Sec VI).
 void Im2Col(const ConvGeometry& g, const float* image, float* col);
 
-/// Adjoint of Im2Col: scatters/accumulates the patch matrix back into the
-/// image buffer (which the caller must zero first). Used for the
-/// data-gradient of Conv2d and the forward pass of ConvTranspose2d.
-void Col2Im(const ConvGeometry& g, const float* col, float* image);
-
 /// Builds the PatchSize() implicit-GEMM row descriptors for `g` into
 /// `rows` (DESIGN §15): per (ci, kh, kw) the image offset plus the valid
 /// output-pixel rectangle, everything the engine's B-panel gather and
@@ -57,8 +53,34 @@ void BuildImplicitRows(const ConvGeometry& g, GemmImplicitRow* rows);
 /// Table-driven Im2Col: identical output to Im2Col(g, image, col) (bit
 /// for bit — copies and zeros only), but all geometry/bounds decisions
 /// come precomputed from the row table, so per-image work is pure data
-/// movement. The backward paths use this with the workspace-cached table.
+/// movement. Serves the opt-in kIm2Col forward.
 void Im2ColFromRows(const ConvGeometry& g, const GemmImplicitRow* rows,
                     const float* image, float* col);
+
+/// One stride phase of a convolution's input grid: the pixels
+/// (py + stride*qy, px + stride*qx), grid_h x grid_w of them. A kernel
+/// tap reaches the phase iff kh*dilation - pad ≡ py and
+/// kw*dilation - pad ≡ px (mod stride); the phase's taps are
+/// plan taps [first_tap, first_tap + n_taps).
+struct ConvPhase {
+  std::int64_t py = 0;
+  std::int64_t px = 0;
+  std::int64_t grid_h = 0;
+  std::int64_t grid_w = 0;
+  std::int64_t first_tap = 0;
+  std::int64_t n_taps = 0;
+};
+
+/// Builds the implicit data-gradient plan of `g` (DESIGN §15): the
+/// phases in (py, px) order, each listing its taps in (kh, kw) order —
+/// Col2Im's accumulation order. Tap kh*k_w + kw gets A operand
+/// tap_panels[kh*k_w + kw] and the B-row descriptor of output-gradient
+/// channel 0 on its phase's grid (offset into the [out_h, out_w] plane,
+/// valid grid window). At stride 1 the one phase is the whole image.
+/// Phases with no pixels or no taps, and taps whose window on their
+/// phase is empty, are left out: they would only add zeros.
+void BuildDataGradPlan(const ConvGeometry& g, const PackedGemmA* tap_panels,
+                       std::vector<ConvPhase>* phases,
+                       std::vector<GemmConvTap>* taps);
 
 }  // namespace exaclim

@@ -25,6 +25,9 @@ constexpr std::int64_t MC = kGemmMC;
 constexpr std::int64_t NC = kGemmNC;
 static_assert(MC % MR == 0, "MC must hold whole MR-strips");
 static_assert(NC % NR == 0, "NC must hold whole NR-strips");
+static_assert(kGemmPackAElems == static_cast<std::size_t>(MC * KC) &&
+                  kGemmPackBElems == static_cast<std::size_t>(KC * NC),
+              "worker pack reservations must match the block maxima");
 
 std::int64_t RoundUp(std::int64_t v, std::int64_t unit) {
   return (v + unit - 1) / unit * unit;
@@ -76,13 +79,15 @@ void ScaleC(float* c, std::int64_t elems, float beta) {
 
 // ------------------------------------------------------------ packing ---
 
-// Packs alpha*op(A) strips [s0, s1) of KC block pc into dst: strip s
-// holds rows [s*MR, s*MR+MR) x columns [pc, pc+kc), p-major with MR
-// consecutive rows per column, rows beyond m zeroed.
-void PackAStrips(bool trans_a, const float* a, std::int64_t m,
-                 std::int64_t k, float alpha, std::int64_t pc,
+// Packs alpha*op(A) strips [s0, s1) of KC block pc into dst, where
+// op(A)[i][p] = a[i*rs + p*cs]: strip s holds rows [s*MR, s*MR+MR) x
+// columns [pc, pc+kc), p-major with MR consecutive rows per column, rows
+// beyond m zeroed.
+void PackAStrips(const float* a, std::int64_t m, std::int64_t rs,
+                 std::int64_t cs, float alpha, std::int64_t pc,
                  std::int64_t kc, std::int64_t s0, std::int64_t s1,
                  float* dst) {
+  // hot-path: begin
   for (std::int64_t s = s0; s < s1; ++s) {
     const std::int64_t ir = s * MR;
     const std::int64_t mr = std::min(MR, m - ir);
@@ -90,21 +95,37 @@ void PackAStrips(bool trans_a, const float* a, std::int64_t m,
     if (mr < MR) {
       std::memset(strip, 0, static_cast<std::size_t>(MR * kc) * sizeof(float));
     }
-    if (!trans_a) {
-      // A is row-major m x k: stream each row, scatter at stride MR.
+    if (cs == 1) {
+      // Row-major A: stream each row, scatter at stride MR.
       for (std::int64_t i = 0; i < mr; ++i) {
-        const float* src = a + (ir + i) * k + pc;
+        const float* src = a + (ir + i) * rs + pc;
         for (std::int64_t p = 0; p < kc; ++p) strip[p * MR + i] = alpha * src[p];
       }
-    } else {
-      // A stored k x m: each packed column is a contiguous slice of a row.
+    } else if (rs == 1) {
+      // Transposed A: each packed column is a contiguous slice of a row.
       for (std::int64_t p = 0; p < kc; ++p) {
-        const float* src = a + (pc + p) * m + ir;
+        const float* src = a + (pc + p) * cs + ir;
         float* dcol = strip + p * MR;
         for (std::int64_t i = 0; i < mr; ++i) dcol[i] = alpha * src[i];
       }
+    } else {
+      for (std::int64_t p = 0; p < kc; ++p) {
+        const float* src = a + (pc + p) * cs + ir * rs;
+        float* dcol = strip + p * MR;
+        for (std::int64_t i = 0; i < mr; ++i) dcol[i] = alpha * src[i * rs];
+      }
     }
   }
+  // hot-path: end
+}
+
+// Row/column strides of op(A) for a dense A (m x k, stored k x m when
+// trans_a).
+std::int64_t RowStride(bool trans_a, std::int64_t k) {
+  return trans_a ? 1 : k;
+}
+std::int64_t ColStride(bool trans_a, std::int64_t m) {
+  return trans_a ? m : 1;
 }
 
 // Packs op(B)[pc:pc+kc, jc:jc+nc] into NR-strips: strip jr/NR holds
@@ -200,6 +221,59 @@ void PackImplicitBPanel(const GemmImplicitB& src, std::int64_t pc,
   }
 }
 
+// PackBPanel's trans_b twin for an implicit B operand (the weight
+// gradient's col^T): column j of the panel is implicit row jc+j at
+// pixels [pc, pc+kc), gathered into a KC-float stack buffer and
+// scattered at stride NR — the bytes PackBPanel(trans_b) would read
+// from a materialized col.
+void PackImplicitBTPanel(const GemmImplicitB& src, std::int64_t pc,
+                         std::int64_t kc, std::int64_t jc, std::int64_t nc,
+                         float* dst) {
+  // hot-path: begin
+  float run[kGemmKC];
+  for (std::int64_t jr = 0; jr < nc; jr += NR) {
+    const std::int64_t nr = std::min(NR, nc - jr);
+    float* strip = dst + (jr / NR) * kc * NR;
+    if (nr < NR) {
+      std::memset(strip, 0, static_cast<std::size_t>(kc * NR) * sizeof(float));
+    }
+    for (std::int64_t j = 0; j < nr; ++j) {
+      GatherImplicitRow(src, src.rows[jc + jr + j], pc, kc, run);
+      float* dcol = strip + j;
+      for (std::int64_t p = 0; p < kc; ++p) dcol[p * NR] = run[p];
+    }
+  }
+  // hot-path: end
+}
+
+// Packs every output-gradient channel of one data-gradient tap for C
+// columns [jc, jc+nc): sub-panel pc (channels [pc, pc+KC)) starts at
+// dst + pc*nc_pad and has PackImplicitBPanel's NR-strip layout. Channel
+// oc is tap_row shifted by oc*channel_stride; each channel's nc-pixel
+// run is gathered once into a stack buffer (zero-padded to whole
+// strips), then dealt out NR floats per strip.
+void PackTapBPanels(const GemmImplicitB& src, const GemmImplicitRow& tap_row,
+                    std::int64_t channel_stride, std::int64_t k,
+                    std::int64_t jc, std::int64_t nc, float* dst) {
+  // hot-path: begin
+  float run[kGemmNC];
+  const std::int64_t nc_pad = RoundUp(nc, NR);
+  for (std::int64_t j = nc; j < nc_pad; ++j) run[j] = 0.0f;
+  GemmImplicitRow rd = tap_row;
+  for (std::int64_t pc = 0; pc < k; pc += KC) {
+    const std::int64_t kc = std::min(KC, k - pc);
+    float* panel = dst + pc * nc_pad;
+    for (std::int64_t p = 0; p < kc; ++p, rd.offset += channel_stride) {
+      GatherImplicitRow(src, rd, jc, nc, run);
+      for (std::int64_t jr = 0; jr < nc_pad; jr += NR) {
+        std::memcpy(panel + jr * kc + p * NR, run + jr,
+                    static_cast<std::size_t>(NR) * sizeof(float));
+      }
+    }
+  }
+  // hot-path: end
+}
+
 // Applies a microkernel accumulator (NR-strided, from the edge-tile path)
 // to the mr x nr corner of C at row stride ldc.
 void MergeEdgeTile(const float* acc, float* c, std::int64_t mr,
@@ -286,7 +360,6 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
 
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
-    const std::int64_t nc_pad = RoundUp(nc, NR);
     for (std::int64_t pc = 0; pc < k; pc += KC) {
       const std::int64_t kc = std::min(KC, k - pc);
       const float beta_eff = pc == 0 ? beta : 1.0f;
@@ -300,15 +373,17 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
                             tile_epi->relu_mask == nullptr;
       // The forking thread packs B once; strip tasks share it read-only
       // (ParallelFor joins before the next acquire can grow the slot).
-      // Steady state the scratch slots are warm, so the gemm.pack.*
-      // census sites read zero; growth (first call, bigger shape) is
-      // exactly what they catch.
+      // Pack slots are always acquired at their block maxima, which
+      // ThreadPool workers reserve when they start, so a slot grows at
+      // most once per thread and never inside a warmed step: the
+      // gemm.pack.* census sites read zero whichever worker ran what.
       float* bpack;
       {
         EXACLIM_ALLOC_CENSUS_THREAD("gemm.pack.b");
-        bpack = AcquireScratch(ScratchSlot::kGemmPackB,
-                               static_cast<std::size_t>(kc * nc_pad));
-        if (bimp != nullptr) {
+        bpack = AcquireScratch(ScratchSlot::kGemmPackB, kGemmPackBElems);
+        if (bimp != nullptr && trans_b) {
+          PackImplicitBTPanel(*bimp, pc, kc, jc, nc, bpack);
+        } else if (bimp != nullptr) {
           PackImplicitBPanel(*bimp, pc, kc, jc, nc, bpack);
         } else {
           PackBPanel(trans_b, b, k, n, pc, kc, jc, nc, bpack);
@@ -328,10 +403,10 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
                 apack = pre_block + s0 * MR * kc;
               } else {
                 EXACLIM_ALLOC_CENSUS_THREAD("gemm.pack.a");
-                float* dst = AcquireScratch(
-                    ScratchSlot::kGemmPackA,
-                    static_cast<std::size_t>((s1 - s0) * MR * kc));
-                PackAStrips(trans_a, a, m, k, alpha, pc, kc, s0, s1, dst);
+                float* dst =
+                    AcquireScratch(ScratchSlot::kGemmPackA, kGemmPackAElems);
+                PackAStrips(a, m, RowStride(trans_a, k), ColStride(trans_a, m),
+                            alpha, pc, kc, s0, s1, dst);
                 apack = dst;
               }
               // hot-path: begin
@@ -372,6 +447,112 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
             }
           },
           /*grain=*/1);
+    }
+  }
+}
+
+// ParallelFor grain giving each task at least `min_work` when one item
+// costs `item_work`.
+std::size_t TaskGrain(std::int64_t min_work, std::int64_t item_work) {
+  return static_cast<std::size_t>(std::max<std::int64_t>(
+      1, min_work / std::max<std::int64_t>(1, item_work)));
+}
+
+// The walk behind GemmPackedImplicitDataGrad. Taps are processed in
+// groups whose B panels (all k = out_c rows of every tap in the group,
+// one C column block wide) fit the pack budget together; they are
+// gathered once, in parallel over taps, and shared read-only by the tile
+// tasks. Each C tile then adds the group's taps in order while it stays
+// in L1, so C is walked once per group, not once per tap. With k > KC a
+// tile sums a tap's sub-panels in the stack accumulator first, exactly
+// as the grad-col GEMM sums its KC panels in C, so every tap lands in C
+// as one rounded partial sum. C has only in_c rows — a handful of
+// MR-strips — so the tasks split the (NR-strip, MR-strip) tile grid;
+// each tile's arithmetic is the same whichever task runs it.
+void RunPackedDataGrad(const GemmConvTap* taps, std::int64_t n_taps,
+                       const GemmImplicitB& b, std::int64_t channel_stride,
+                       float* c) {
+  // A group's panels fill at most a quarter of the pack slot (512 KB),
+  // so they stay L2-resident while the tiles stream through them, and
+  // span at least kMinGroupCols columns (fewer, wider groups amortize
+  // the two fork/joins per group).
+  constexpr std::int64_t kGroupElems = KC * NC / 4;
+  constexpr std::int64_t kMinGroupCols = 512;
+  // Least work worth a pool task: a fork/join costs tens of microseconds,
+  // and the small transposed convs of an eval forward are a few MFLOP in
+  // all, so below these they run inline on the calling thread.
+  constexpr std::int64_t kMinTaskPackElems = std::int64_t{1} << 15;
+  constexpr std::int64_t kMinTaskFlops = std::int64_t{1} << 20;
+  const GemmMicroKernelFn kernel = ActiveKernel().fn;
+  const std::int64_t m = taps[0].a->m();
+  const std::int64_t k = taps[0].a->k();
+  const std::int64_t n = b.out_h * b.out_w;
+  const std::int64_t m_strips = (m + MR - 1) / MR;
+  const std::int64_t cols = std::min(RoundUp(n, NR), kMinGroupCols);
+  const std::int64_t max_group =
+      std::clamp<std::int64_t>(kGroupElems / (k * cols), 1, n_taps);
+  const std::int64_t n_groups = (n_taps + max_group - 1) / max_group;
+  const std::int64_t group = (n_taps + n_groups - 1) / n_groups;
+  const std::int64_t nc_block =
+      std::min(NC, kGroupElems / (group * k) / NR * NR);
+  EXACLIM_CHECK(nc_block >= NR, "GemmPackedImplicitDataGrad: k " << k
+                                    << " exceeds the pack budget");
+
+  for (std::int64_t t0 = 0; t0 < n_taps; t0 += group) {
+    const std::int64_t g_taps = std::min(group, n_taps - t0);
+    for (std::int64_t jc = 0; jc < n; jc += nc_block) {
+      const std::int64_t nc = std::min(nc_block, n - jc);
+      const std::int64_t nc_pad = RoundUp(nc, NR);
+      const std::int64_t tap_stride = k * nc_pad;  // floats per tap
+      float* bpack;
+      {
+        EXACLIM_ALLOC_CENSUS_THREAD("gemm.pack.b");
+        bpack = AcquireScratch(ScratchSlot::kGemmPackB, kGemmPackBElems);
+      }
+      ParallelFor(
+          0, static_cast<std::size_t>(g_taps),
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t t = lo; t < hi; ++t) {
+              PackTapBPanels(b, taps[t0 + static_cast<std::int64_t>(t)].row,
+                             channel_stride, k, jc, nc,
+                             bpack + static_cast<std::int64_t>(t) * tap_stride);
+            }
+          },
+          TaskGrain(kMinTaskPackElems, tap_stride));
+      const std::int64_t tiles = nc_pad / NR * m_strips;
+      ParallelFor(
+          0, static_cast<std::size_t>(tiles),
+          [&](std::size_t lo_t, std::size_t hi_t) {
+            // hot-path: begin
+            for (auto tile = static_cast<std::int64_t>(lo_t);
+                 tile < static_cast<std::int64_t>(hi_t); ++tile) {
+              const std::int64_t jr = tile / m_strips * NR;
+              const std::int64_t s = tile % m_strips;
+              const std::int64_t nr = std::min(NR, nc - jr);
+              const std::int64_t ir = s * MR;
+              const std::int64_t mr = std::min(MR, m - ir);
+              float* ctile = c + ir * n + jc + jr;
+              for (std::int64_t t = 0; t < g_taps; ++t) {
+                const PackedGemmA& a = *taps[t0 + t].a;
+                const float* bt = bpack + t * tap_stride;
+                if (k <= KC && mr == MR && nr == NR) {
+                  kernel(k, a.Block(0) + s * MR * k, bt + jr * k, ctile, n,
+                         1.0f);
+                  continue;
+                }
+                float acc[kGemmMR * kGemmNR];
+                for (std::int64_t pc = 0; pc < k; pc += KC) {
+                  const std::int64_t kc = std::min(KC, k - pc);
+                  kernel(kc, a.Block(pc) + s * MR * kc,
+                         bt + pc * nc_pad + jr * kc, acc, NR,
+                         pc == 0 ? 0.0f : 1.0f);
+                }
+                MergeEdgeTile(acc, ctile, mr, nr, n, 1.0f);
+              }
+            }
+            // hot-path: end
+          },
+          TaskGrain(kMinTaskFlops, 2 * MR * NR * k * g_taps));
     }
   }
 }
@@ -514,6 +695,17 @@ void GemmMergeBiasReluNeon(const float* acc, float* c, std::int64_t ldc,
 
 void PackedGemmA::Pack(bool trans_a, std::int64_t m, std::int64_t k,
                        float alpha, const float* a) {
+  PackScaled(m, k, RowStride(trans_a, k), ColStride(trans_a, m), alpha, a);
+}
+
+void PackedGemmA::PackStrided(std::int64_t m, std::int64_t k,
+                              std::int64_t row_stride,
+                              std::int64_t col_stride, const float* a) {
+  PackScaled(m, k, row_stride, col_stride, 1.0f, a);
+}
+
+void PackedGemmA::PackScaled(std::int64_t m, std::int64_t k, std::int64_t rs,
+                             std::int64_t cs, float alpha, const float* a) {
   EXACLIM_CHECK(m >= 0 && k >= 0, "PackedGemmA: bad dims " << m << "x" << k);
   m_ = m;
   k_ = k;
@@ -522,7 +714,7 @@ void PackedGemmA::Pack(bool trans_a, std::int64_t m, std::int64_t k,
   const std::int64_t strips = (m + MR - 1) / MR;
   for (std::int64_t pc = 0; pc < k; pc += KC) {
     const std::int64_t kc = std::min(KC, k - pc);
-    PackAStrips(trans_a, a, m, k, alpha, pc, kc, 0, strips,
+    PackAStrips(a, m, rs, cs, alpha, pc, kc, 0, strips,
                 data_.data() + m_padded_ * pc);
   }
 }
@@ -599,6 +791,37 @@ void GemmPackedImplicit(const PackedGemmA& a, const GemmImplicitB& b,
                 "GemmPackedImplicit: bad implicit-B descriptor");
   RunPackedGemm(&a, /*trans_a=*/false, nullptr, /*trans_b=*/false, nullptr,
                 &b, m, n, k, /*alpha=*/1.0f, beta, c, epi);
+}
+
+void GemmPackedImplicitWeightGrad(std::int64_t m, std::int64_t patch,
+                                  const float* a, const GemmImplicitB& b,
+                                  float beta, float* c) {
+  const std::int64_t pixels = b.out_h * b.out_w;
+  if (m == 0 || patch == 0) return;
+  if (pixels == 0) {
+    ScaleC(c, m * patch, beta);
+    return;
+  }
+  EXACLIM_CHECK(a != nullptr && b.image != nullptr && b.rows != nullptr &&
+                    b.stride >= 1 && b.in_row_stride >= 1,
+                "GemmPackedImplicitWeightGrad: bad operands");
+  RunPackedGemm(nullptr, /*trans_a=*/false, a, /*trans_b=*/true, nullptr,
+                &b, m, patch, pixels, /*alpha=*/1.0f, beta, c, nullptr);
+}
+
+void GemmPackedImplicitDataGrad(const GemmConvTap* taps, std::int64_t n_taps,
+                                const GemmImplicitB& b,
+                                std::int64_t channel_stride, float* c) {
+  if (n_taps == 0 || b.out_h * b.out_w == 0) return;
+  for (std::int64_t t = 0; t < n_taps; ++t) {
+    EXACLIM_CHECK(taps[t].a != nullptr && !taps[t].a->empty() &&
+                      taps[t].a->m() == taps[0].a->m() &&
+                      taps[t].a->k() == taps[0].a->k(),
+                  "GemmPackedImplicitDataGrad: tap " << t << " not packed");
+  }
+  EXACLIM_CHECK(b.image != nullptr && b.stride == 1 && b.in_row_stride >= 1,
+                "GemmPackedImplicitDataGrad: bad implicit-B descriptor");
+  RunPackedDataGrad(taps, n_taps, b, channel_stride, c);
 }
 
 }  // namespace exaclim

@@ -25,7 +25,8 @@
 // Kernel selection for the public Gemm() entry point is controlled by
 // EXACLIM_GEMM_KERNEL={auto,packed,reference} (SetGemmKernelMode overrides
 // programmatically); `reference` keeps the pre-engine blocked walk for
-// A/B testing and bisection.
+// A/B testing and bisection of Gemm() and the conv forward. The conv
+// backward entry points below have no reference twin and ignore it.
 
 #include <cstdint>
 #include <optional>
@@ -55,9 +56,10 @@ GemmKernelMode GemmKernelModeInUse();
 /// Programmatic override (benches and the fuzz tests flip this per run).
 void SetGemmKernelMode(GemmKernelMode mode);
 
-/// True when the packed engine serves Gemm() (mode != kReference). Call
-/// sites that maintain prepacked operands (conv weight panels) key off
-/// this so EXACLIM_GEMM_KERNEL=reference A/B-tests the whole layer path.
+/// True when the packed engine serves Gemm() (mode != kReference). The
+/// conv forward keys its prepacked weight panels and implicit path off
+/// this, so EXACLIM_GEMM_KERNEL=reference A/B-tests the forward; conv
+/// backward always runs the packed engine.
 bool GemmUsesPackedEngine();
 
 /// Name of the microkernel variant the packed engine dispatches to on
@@ -215,6 +217,12 @@ class PackedGemmA {
   void Pack(bool trans_a, std::int64_t m, std::int64_t k, float alpha,
             const float* a);
 
+  /// Packs the m x k matrix op(A)[i][p] = a[i*row_stride + p*col_stride]
+  /// (alpha = 1) — e.g. one kernel tap's slice W_t^T of a conv weight,
+  /// whose elements sit `taps` floats apart.
+  void PackStrided(std::int64_t m, std::int64_t k, std::int64_t row_stride,
+                   std::int64_t col_stride, const float* a);
+
   std::int64_t m() const { return m_; }
   std::int64_t k() const { return k_; }
   bool empty() const { return data_.empty(); }
@@ -225,6 +233,9 @@ class PackedGemmA {
   }
 
  private:
+  void PackScaled(std::int64_t m, std::int64_t k, std::int64_t rs,
+                  std::int64_t cs, float alpha, const float* a);
+
   std::int64_t m_ = 0;
   std::int64_t k_ = 0;
   std::int64_t m_padded_ = 0;  // m rounded up to a multiple of kGemmMR
@@ -259,5 +270,48 @@ void GemmPackedWithA(const PackedGemmA& a, bool trans_b, std::int64_t n,
 void GemmPackedImplicit(const PackedGemmA& a, const GemmImplicitB& b,
                         float beta, float* c,
                         const GemmEpilogue* epi = nullptr);
+
+/// Implicit-GEMM convolution weight gradient:
+///
+///   C(m, patch) = A(m, P) * B^T + beta*C
+///
+/// where A is a dense row-major [m, P] matrix (Conv2d: the output
+/// gradient of one image; ConvTranspose2d: its cached input) and B is
+/// the image's implicit im2col matrix (b.rows has `patch` entries,
+/// P = b.out_h*b.out_w). The transposed B panels are gathered straight
+/// from the image, one KC-pixel run of a row at a time through a stack
+/// buffer, so no col buffer exists. Bit-identical to
+/// GemmPacked(false, true, m, patch, P, 1, A, col, beta, C) on the
+/// materialized col: the packed panels hold the same bytes and the KC
+/// walk over P is the same.
+void GemmPackedImplicitWeightGrad(std::int64_t m, std::int64_t patch,
+                                  const float* a, const GemmImplicitB& b,
+                                  float beta, float* c);
+
+/// One kernel tap of an implicit data gradient: the tap's prepacked A
+/// operand W_t^T [in_c, out_c] and the B-row descriptor of output-
+/// gradient channel 0, shifted by the tap onto C's pixel grid (channel
+/// oc adds oc*channel_stride to `row.offset`).
+struct GemmConvTap {
+  const PackedGemmA* a = nullptr;
+  GemmImplicitRow row;
+};
+
+/// Implicit-GEMM convolution data gradient over one C pixel grid (a
+/// whole input image at stride 1, one stride phase of it otherwise):
+///
+///   C(m, n) += A_t(m, k) * B_t(k, n)   for t = 0 .. n_taps-1, in order
+///
+/// with k = out_c and n = b.out_h*b.out_w. Row oc of B_t is output-
+/// gradient channel oc seen through taps[t].row on C's grid (b.image is
+/// the output gradient of one image, b.in_row_stride its row length,
+/// b.stride 1; b.rows is unused). Each tap's product is rounded exactly
+/// as the materialized grad-col GEMM W^T * grad rounds that tap's rows
+/// — k is walked in KC sub-panels, summed in the tile buffer — and is
+/// added to C once, taps in Col2Im's (kh, kw) order. A zeroed C thus ends
+/// bit-identical to Col2Im of the grad-col GEMM, with no col buffer.
+void GemmPackedImplicitDataGrad(const GemmConvTap* taps, std::int64_t n_taps,
+                                const GemmImplicitB& b,
+                                std::int64_t channel_stride, float* c);
 
 }  // namespace exaclim

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "conv_oracle.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/conv_engine.hpp"
@@ -487,6 +488,69 @@ TEST(ConvFusionStress, ConcurrentFusedChainsShareGlobalPool) {
   }
   for (auto& th : threads) th.join();
   for (const auto& f : firsts) EXPECT_FALSE(f.empty());
+}
+
+// Concurrent implicit backward passes (DESIGN §15) from caller threads,
+// all sharding onto the one global pool: each thread's Conv2d (strided,
+// so the per-shard phase scratch is live) and ConvTranspose2d must match
+// the materialized oracle bitwise on every round. The tap panels and
+// row tables are shared read-only across a layer's shards, the phase
+// scratch is per shard — any overlap is TSan-visible here.
+TEST(ConvBackwardStress, ConcurrentBackwardMatchesOracle) {
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      const auto seed = static_cast<std::uint64_t>(140 + t);
+      Rng rng(seed);
+      Conv2d conv("c", {.in_c = 5, .out_c = 7, .kernel = 3, .stride = 2,
+                        .pad = 1},
+                  rng);
+      ConvTranspose2d deconv(
+          "d", {.in_c = 4, .out_c = 3, .kernel = 3, .stride = 2,
+                .out_pad = 1},
+          rng);
+      Rng xrng(seed + 10);
+      const Tensor x = Tensor::Uniform(TensorShape::NCHW(4, 5, 11, 9), xrng,
+                                       -1.0f, 1.0f);
+      const Tensor xd = Tensor::Uniform(TensorShape::NCHW(3, 4, 5, 6), xrng,
+                                        -1.0f, 1.0f);
+      (void)conv.Forward(x, /*train=*/true);
+      const Tensor g =
+          Tensor::Uniform(conv.OutputShape(x.shape()), xrng, -1.0f, 1.0f);
+      const Tensor gd =
+          Tensor::Uniform(deconv.OutputShape(xd.shape()), xrng, -1.0f, 1.0f);
+      MaterializedConvOracle oracle;
+      const std::vector<float> want_gx =
+          Snapshot(oracle.Conv2dBackward(conv, x, g).grad_input);
+      const std::vector<float> want_gw =
+          Snapshot(oracle.Conv2dBackward(conv, x, g).weight_grad);
+      const std::vector<float> want_y =
+          Snapshot(oracle.ConvTranspose2dForward(deconv, xd).output);
+      const std::vector<float> want_gxd =
+          Snapshot(oracle.ConvTranspose2dBackward(deconv, xd, gd).grad_input);
+      const auto same_bits = [](const Tensor& got,
+                                const std::vector<float>& want) {
+        return static_cast<std::size_t>(got.NumElements()) == want.size() &&
+               std::memcmp(got.Raw(), want.data(),
+                           want.size() * sizeof(float)) == 0;
+      };
+      for (int round = 0; round < 8; ++round) {
+        for (Param* p : conv.Params()) p->grad.SetZero();
+        (void)conv.Forward(x, /*train=*/true);
+        EXPECT_TRUE(same_bits(conv.Backward(g), want_gx))
+            << "thread " << t << " round " << round;
+        EXPECT_TRUE(same_bits(conv.weight().grad, want_gw))
+            << "thread " << t << " round " << round;
+        EXPECT_TRUE(same_bits(deconv.Forward(xd, /*train=*/true), want_y))
+            << "thread " << t << " round " << round;
+        EXPECT_TRUE(same_bits(deconv.Backward(gd), want_gxd))
+            << "thread " << t << " round " << round;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
 }
 
 // A conv issued while the engine is batch-parallel must keep its nested

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "conv_oracle.hpp"
 #include "gradcheck.hpp"
 #include "nn/activation.hpp"
 #include "nn/combine.hpp"

@@ -12,10 +12,12 @@
 #   3. bench-smoke: one bench run + BENCH_*.json schema validation
 #   4. perf-smoke: bench_micro_conv engine comparison; the batch-parallel
 #      conv engine must not be slower than the serial batch walk, the
-#      implicit-GEMM path must hold ≥ 0.95× of im2col on every bench
-#      shape, the fused conv→BN→ReLU epilogue must beat the unfused
-#      chain, and the ConvFusion suite re-runs under
-#      EXACLIM_GEMM_KERNEL=reference as a fallback A/B (DESIGN §15)
+#      implicit-GEMM forward must hold ≥ 0.95× of im2col and the
+#      implicit backward ≥ 0.95× of the materialized oracle on every
+#      bench shape, the fused conv→BN→ReLU epilogue must beat the
+#      unfused chain, the ConvFusion suite re-runs under
+#      EXACLIM_GEMM_KERNEL=reference as a fallback A/B, and the
+#      backward oracle suite runs under both kernel modes (DESIGN §15)
 #   5. alloc-smoke: bench_alloc_census per-phase allocation ratchet,
 #      pooled (tools/alloc_budget.json, all budgets 0) and with
 #      EXACLIM_POOL=off (tools/alloc_budget_pool_off.json) — DESIGN §11/§12
@@ -95,6 +97,19 @@ run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
   --assert-le conv_implicit_stride2_ms conv_im2col_stride2_ms 1.0527 \
   --assert-le conv_fused_tile_eval_ms conv_unfused_tile_eval_ms 1.0 \
   --assert-le conv_fused_pointwise_eval_ms conv_unfused_pointwise_eval_ms 0.9
+# The implicit backward (weight gradient gathered from the cached input,
+# data gradient one tap panel at a time, no grad-col buffer) must hold
+# ≥ 0.95× of the materialized im2col / grad-col / Col2Im oracle it
+# replaced on every bench shape — the forward gates' convention. Its
+# gradients must match that oracle bitwise whatever EXACLIM_GEMM_KERNEL
+# says: backward never consults the knob, so the suite runs in both
+# modes.
+run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
+  --assert-le conv_bwd_implicit_b4_ms conv_bwd_oracle_b4_ms 1.0527 \
+  --assert-le conv_bwd_implicit_atrous_ms conv_bwd_oracle_atrous_ms 1.0527 \
+  --assert-le conv_bwd_implicit_stride2_ms conv_bwd_oracle_stride2_ms 1.0527
+run env EXACLIM_GEMM_KERNEL=packed ./build/tests/test_conv_backward
+run env EXACLIM_GEMM_KERNEL=reference ./build/tests/test_conv_backward
 # A/B the fused-chain suite against the reference (unpacked) GEMM walk:
 # with EXACLIM_GEMM_KERNEL=reference the fused path falls back to the
 # layer-sweep chain, which must stay bit-identical to the unfused run.
