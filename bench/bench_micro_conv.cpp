@@ -1,11 +1,11 @@
 // Microbenchmarks of the convolution layer variants (plain, strided,
 // atrous, transposed) and the FP16 emulation overhead — plus the
 // batch-parallel engine comparison, which times forward+backward in both
-// engine modes, the implicit-vs-im2col forward and implicit-vs-
-// materialized backward A/Bs, and the fused-epilogue chains, recording
-// them through BenchReport (BENCH_micro_conv.json, the repo's conv
-// perf-trajectory datapoint; the ci.sh perf-smoke stage gates them).
-// The materialized backward is the test oracle from tests/.
+// engine modes, the implicit-vs-materialized forward and backward A/Bs,
+// and the fused-epilogue chains, recording them through BenchReport
+// (BENCH_micro_conv.json, the repo's conv perf-trajectory datapoint; the
+// ci.sh perf-smoke stage gates them). The materialized forward and
+// backward are the test oracle from tests/.
 //
 // Custom main: google-benchmark cases run first (skip them with
 // --benchmark_filter='-.*'), then the engine comparison.
@@ -168,69 +168,77 @@ double TimeForwardMs(Layer& layer, const Tensor& x) {
       .count();
 }
 
-// -------------------------------------- implicit GEMM vs im2col --------
+// ----------------------- implicit vs materialized forward / backward ---
+
+// The shapes both oracle A/Bs time (ci.sh gates each of them).
+struct AbShape {
+  const char* name;
+  Conv2d::Options opts;
+  std::int64_t h, w, batch;
+};
+const AbShape kAbShapes[] = {
+    {"b4", {.in_c = 32, .out_c = 32}, 48, 48, 4},  // the conv-tile shape
+    {"atrous",
+     {.in_c = 32, .out_c = 32, .kernel = 3, .pad = 4, .dilation = 4}, 48, 48,
+     2},
+    {"stride2",
+     {.in_c = 16, .out_c = 32, .kernel = 3, .stride = 2, .pad = 1}, 96, 96,
+     2},
+};
+
+double TimeOracleForwardMs(MaterializedConvOracle& oracle, Conv2d& conv,
+                           const Tensor& x) {
+  const auto start = Clock::now();
+  const OracleResult& r = oracle.Conv2dForward(conv, x);
+  benchmark::DoNotOptimize(r.output.Raw());
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
 
 // Forward timing of the implicit B-panel gather against the materialized
-// im2col lowering (bit-identical outputs, so this is a pure perf A/B),
+// im2col oracle it replaced (bit-identical outputs, so a pure perf A/B),
 // plus the col-buffer footprint the implicit path eliminates per image.
-void RunImplicitComparison(obs::BenchReport& report) {
+void RunForwardComparison(obs::BenchReport& report) {
   constexpr int kRounds = 7;
-  struct Shape {
-    const char* name;
-    Conv2d::Options opts;
-    std::int64_t h, w, batch;
-  };
-  const Shape shapes[] = {
-      {"b4", {.in_c = 32, .out_c = 32}, 48, 48, 4},  // the conv-tile shape
-      {"atrous",
-       {.in_c = 32, .out_c = 32, .kernel = 3, .pad = 4, .dilation = 4},
-       48, 48, 2},
-      {"stride2",
-       {.in_c = 16, .out_c = 32, .kernel = 3, .stride = 2, .pad = 1},
-       96, 96, 2},
-  };
   std::printf(
-      "\nimplicit GEMM vs im2col (forward, median of %d):\n"
+      "\nimplicit vs materialized forward (median of %d):\n"
       "  %8s %12s %14s %9s %14s\n",
-      kRounds, "shape", "im2col [ms]", "implicit [ms]", "speedup",
+      kRounds, "shape", "oracle [ms]", "implicit [ms]", "speedup",
       "col bytes/img");
-  for (const Shape& s : shapes) {
+  for (const AbShape& s : kAbShapes) {
     Rng xrng(3);
     const Tensor x = Tensor::Uniform(
         TensorShape::NCHW(s.batch, s.opts.in_c, s.h, s.w), xrng, -1, 1);
-    double medians[2] = {0, 0};
-    std::int64_t col_bytes = 0;
-    for (const bool implicit : {false, true}) {
-      Conv2d::Options opts = s.opts;
-      opts.algorithm = implicit ? ConvAlgorithm::kImplicitGemm
-                                : ConvAlgorithm::kIm2Col;
-      Rng rng(2);
-      Conv2d conv("c", opts, rng);
-      const TensorShape out = conv.OutputShape(x.shape());
-      col_bytes = s.opts.in_c * opts.kernel * opts.kernel * out.h() *
-                  out.w() * static_cast<std::int64_t>(sizeof(float));
-      (void)TimeForwardMs(conv, x);  // warm-up (workspace + row tables)
-      std::vector<double> times;
-      times.reserve(kRounds);
-      for (int r = 0; r < kRounds; ++r) {
-        times.push_back(TimeForwardMs(conv, x));
-      }
-      const std::string metric = std::string("conv_") +
-                                 (implicit ? "implicit_" : "im2col_") +
-                                 s.name + "_ms";
-      report.AddSeries(metric, times);
-      medians[implicit ? 1 : 0] = Summarize(times).median;
+    Rng rng(2);
+    Conv2d conv("c", s.opts, rng);
+    const TensorShape out = conv.OutputShape(x.shape());
+    const std::int64_t col_bytes =
+        s.opts.in_c * s.opts.kernel * s.opts.kernel * out.h() * out.w() *
+        static_cast<std::int64_t>(sizeof(float));
+    MaterializedConvOracle oracle;
+    // Warm-up sizes the workspaces, row tables and col buffers.
+    (void)TimeOracleForwardMs(oracle, conv, x);
+    (void)TimeForwardMs(conv, x);
+    std::vector<double> times[2];
+    for (int r = 0; r < kRounds; ++r) {
+      // Alternate so both sides see the same machine state.
+      times[0].push_back(TimeOracleForwardMs(oracle, conv, x));
+      times[1].push_back(TimeForwardMs(conv, x));
     }
-    const double speedup = medians[1] > 0 ? medians[0] / medians[1] : 0;
-    report.AddScalar(std::string("implicit_speedup_") + s.name, speedup);
+    report.AddSeries(std::string("conv_fwd_oracle_") + s.name + "_ms",
+                     times[0]);
+    report.AddSeries(std::string("conv_fwd_implicit_") + s.name + "_ms",
+                     times[1]);
+    const double oracle_ms = Summarize(times[0]).median;
+    const double implicit_ms = Summarize(times[1]).median;
+    const double speedup = implicit_ms > 0 ? oracle_ms / implicit_ms : 0;
+    report.AddScalar(std::string("implicit_fwd_speedup_") + s.name, speedup);
     report.AddScalar(std::string("col_bytes_eliminated_") + s.name,
                      static_cast<double>(col_bytes));
-    std::printf("  %8s %12.3f %14.3f %8.2fx %14lld\n", s.name, medians[0],
-                medians[1], speedup, static_cast<long long>(col_bytes));
+    std::printf("  %8s %12.3f %14.3f %8.2fx %14lld\n", s.name, oracle_ms,
+                implicit_ms, speedup, static_cast<long long>(col_bytes));
   }
 }
-
-// ------------------------------- implicit backward vs materialized ----
 
 double TimeBackwardMs(Conv2d& conv, const Tensor& g) {
   for (Param* p : conv.Params()) p->grad.SetZero();
@@ -257,26 +265,12 @@ double TimeOracleMs(MaterializedConvOracle& oracle, Conv2d& conv,
 // the implicit path eliminates per image.
 void RunBackwardComparison(obs::BenchReport& report) {
   constexpr int kRounds = 7;
-  struct Shape {
-    const char* name;
-    Conv2d::Options opts;
-    std::int64_t h, w, batch;
-  };
-  const Shape shapes[] = {
-      {"b4", {.in_c = 32, .out_c = 32}, 48, 48, 4},
-      {"atrous",
-       {.in_c = 32, .out_c = 32, .kernel = 3, .pad = 4, .dilation = 4},
-       48, 48, 2},
-      {"stride2",
-       {.in_c = 16, .out_c = 32, .kernel = 3, .stride = 2, .pad = 1},
-       96, 96, 2},
-  };
   std::printf(
       "\nimplicit vs materialized backward (median of %d):\n"
       "  %8s %14s %14s %9s %16s\n",
       kRounds, "shape", "oracle [ms]", "implicit [ms]", "speedup",
       "grad-col bytes/img");
-  for (const Shape& s : shapes) {
+  for (const AbShape& s : kAbShapes) {
     Rng xrng(3);
     const Tensor x = Tensor::Uniform(
         TensorShape::NCHW(s.batch, s.opts.in_c, s.h, s.w), xrng, -1, 1);
@@ -374,7 +368,7 @@ void RunComparisons() {
   report.AddScalar("threads",
                    static_cast<double>(ThreadPool::Global().size() + 1));
   RunEngineComparison(report);
-  RunImplicitComparison(report);
+  RunForwardComparison(report);
   RunBackwardComparison(report);
   RunFusionComparison(report);
   const auto path = report.WriteJsonFile();

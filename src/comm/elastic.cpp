@@ -1,10 +1,10 @@
 #include "comm/elastic.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 
@@ -57,16 +57,13 @@ CollectiveResult ConsensusFail(Communicator& comm, int waited_world_rank,
 }  // namespace
 
 ElasticOptions ElasticOptions::FromEnv(ElasticOptions base) {
-  if (const char* env = std::getenv("EXACLIM_ELASTIC")) {
-    const std::string value(env);
-    base.enabled = !(value == "off" || value == "0" || value == "false" ||
-                     value.empty());
+  base.enabled = EnvFlag("EXACLIM_ELASTIC", base.enabled);
+  if (const auto s = EnvNonNegativeNumber("EXACLIM_ELASTIC_TIMEOUT")) {
+    base.collective_timeout_s = *s;
   }
-  if (const char* env = std::getenv("EXACLIM_ELASTIC_TIMEOUT")) {
-    base.collective_timeout_s = std::stod(env);
-  }
-  if (const char* env = std::getenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT")) {
-    base.rebuild_timeout_s = std::stod(env);
+  if (const auto s =
+          EnvNonNegativeNumber("EXACLIM_ELASTIC_REBUILD_TIMEOUT")) {
+    base.rebuild_timeout_s = *s;
   }
   return base;
 }

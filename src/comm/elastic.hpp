@@ -56,8 +56,10 @@ struct ElasticOptions {
   /// Radix of the consensus tree (mirrors the hvd control plane).
   int control_radix = 4;
 
-  /// EXACLIM_ELASTIC=on|off, EXACLIM_ELASTIC_TIMEOUT=<s>,
-  /// EXACLIM_ELASTIC_REBUILD_TIMEOUT=<s> applied over `base`.
+  /// EXACLIM_ELASTIC (a boolean knob, common/env.hpp),
+  /// EXACLIM_ELASTIC_TIMEOUT=<s> and EXACLIM_ELASTIC_REBUILD_TIMEOUT=<s>
+  /// (non-negative decimal seconds) applied over `base`; a malformed
+  /// value throws an Error naming the knob.
   static ElasticOptions FromEnv(ElasticOptions base);
   static ElasticOptions FromEnv() { return FromEnv(ElasticOptions{}); }
 };

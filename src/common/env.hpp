@@ -1,0 +1,26 @@
+#pragma once
+
+// Parsing shared by the EXACLIM_* environment knobs, so one spelling
+// means one thing whichever module reads it. Each helper takes the
+// knob's name, reads it with getenv and names it in any error.
+
+#include <cstdint>
+#include <optional>
+
+namespace exaclim {
+
+/// A boolean knob: `fallback` when `name` is unset; off for "", "0",
+/// "off" and "false"; on for any other value.
+bool EnvFlag(const char* name, bool fallback);
+
+/// A non-negative whole-number knob; nullopt when unset. The value must
+/// be decimal digits and nothing else: "4M", "-1", "abc" and "" fail an
+/// EXACLIM_CHECK that names the knob.
+std::optional<std::int64_t> EnvNonNegativeInt(const char* name);
+
+/// A non-negative decimal-number knob (e.g. "2.5"); nullopt when unset.
+/// Trailing characters, a sign, "inf"/"nan" and "" fail an
+/// EXACLIM_CHECK that names the knob.
+std::optional<double> EnvNonNegativeNumber(const char* name);
+
+}  // namespace exaclim

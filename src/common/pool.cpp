@@ -7,6 +7,7 @@
 #include <new>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
@@ -48,11 +49,7 @@ constexpr std::int32_t kMaxBuckets = 40;
 // ------------------------------------------------------------- knobs --
 
 std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag([] {
-    const char* env = std::getenv("EXACLIM_POOL");
-    return env == nullptr ||
-           (std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0);
-  }());
+  static std::atomic<bool> flag(EnvFlag("EXACLIM_POOL", true));
   return flag;
 }
 

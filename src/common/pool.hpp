@@ -32,11 +32,11 @@ namespace exaclim {
 // ------------------------------------------------------------- toggles --
 
 /// Whether AcquirePoolBuffer serves from the arena. Seeded from
-/// EXACLIM_POOL on first use (unset/"on"/"1" enabled; "off"/"0"
-/// disabled). The flag is consulted at acquire time only: a buffer
-/// always releases to wherever it came from (its bucket id), so the
-/// switch may flip between phases without corrupting outstanding
-/// handles.
+/// EXACLIM_POOL on first use (a boolean knob, common/env.hpp: unset
+/// enabled; "", "0", "off" and "false" disabled). The flag is consulted
+/// at acquire time only: a buffer always releases to wherever it came
+/// from (its bucket id), so the switch may flip between phases without
+/// corrupting outstanding handles.
 bool PoolEnabled();
 
 /// Programmatic override of the env default (tests, benches).

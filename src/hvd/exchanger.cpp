@@ -4,9 +4,11 @@
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "comm/collectives.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/workspace.hpp"
@@ -25,20 +27,15 @@ const char* ToString(ReduceTransport t) {
 }
 
 ExchangerOptions ExchangerOptions::FromEnv(ExchangerOptions base) {
-  if (const char* v = std::getenv("EXACLIM_OVERLAP")) {
-    const std::string s(v);
-    base.overlap = !(s.empty() || s == "off" || s == "0" || s == "false");
-  }
-  if (const char* v = std::getenv("EXACLIM_FUSION_BYTES")) {
-    base.fusion_threshold_bytes = std::stoll(v);
+  base.overlap = EnvFlag("EXACLIM_OVERLAP", base.overlap);
+  if (const auto bytes = EnvNonNegativeInt("EXACLIM_FUSION_BYTES")) {
+    base.fusion_threshold_bytes = *bytes;
   }
   if (const char* v = std::getenv("EXACLIM_WIRE")) {
-    const std::string s(v);
-    if (s == "fp16" || s == "half") {
-      base.wire_precision = Precision::kFP16;
-    } else if (s == "fp32") {
-      base.wire_precision = Precision::kFP32;
-    }
+    const std::string_view s(v);
+    EXACLIM_CHECK(s == "fp32" || s == "fp16" || s == "half",
+                  "EXACLIM_WIRE='" << s << "': expected fp32, fp16 or half");
+    base.wire_precision = s == "fp32" ? Precision::kFP32 : Precision::kFP16;
   }
   return base;
 }

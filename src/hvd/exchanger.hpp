@@ -92,8 +92,10 @@ struct ExchangerOptions {
   /// thread reduces each fused bucket as soon as it closes (DESIGN §14).
   bool overlap = false;
 
-  /// EXACLIM_OVERLAP=on|off, EXACLIM_FUSION_BYTES=<bytes>,
-  /// EXACLIM_WIRE=fp16|fp32 applied over `base`.
+  /// EXACLIM_OVERLAP (a boolean knob, common/env.hpp),
+  /// EXACLIM_FUSION_BYTES=<bytes> (decimal digits only) and
+  /// EXACLIM_WIRE=fp32|fp16|half applied over `base`; a malformed value
+  /// throws an Error naming the knob.
   static ExchangerOptions FromEnv(ExchangerOptions base);
 };
 

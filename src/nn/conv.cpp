@@ -1,27 +1,14 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
-#include "tensor/gemm.hpp"
 #include "tensor/gemm_kernel.hpp"
 
 namespace exaclim {
 namespace {
-
-std::atomic<ConvAlgorithm>& DefaultAlgorithmFlag() {
-  static std::atomic<ConvAlgorithm> flag([] {
-    if (const char* env = std::getenv("EXACLIM_CONV_ALGO")) {
-      if (const auto parsed = ParseConvAlgorithm(env)) return *parsed;
-    }
-    return ConvAlgorithm::kAuto;
-  }());
-  return flag;
-}
 
 // "Same" padding must grow with the dilated (effective) kernel, or an
 // ASPP-style dilated conv with the default pad silently shrinks its
@@ -38,68 +25,11 @@ float PlaneSum(const float* plane, std::int64_t count) {
   return static_cast<float>(acc);
 }
 
-// Naive direct convolution of one image (used when kDirect is forced on a
-// non-pointwise geometry): no patch buffer, pure loops.
-void DirectConvImage(const ConvGeometry& g, std::int64_t out_c,
-                     const float* image, const float* weight, float* out) {
-  const std::int64_t out_h = g.OutH(), out_w = g.OutW();
-  const std::int64_t patch = g.PatchSize();
-  for (std::int64_t oc = 0; oc < out_c; ++oc) {
-    const float* w_oc = weight + oc * patch;
-    float* plane = out + oc * out_h * out_w;
-    for (std::int64_t oy = 0; oy < out_h; ++oy) {
-      for (std::int64_t ox = 0; ox < out_w; ++ox) {
-        double acc = 0.0;
-        std::int64_t w_idx = 0;
-        for (std::int64_t c = 0; c < g.in_c; ++c) {
-          const float* in_plane = image + c * g.in_h * g.in_w;
-          for (std::int64_t ky = 0; ky < g.k_h; ++ky) {
-            const std::int64_t iy = oy * g.stride + ky * g.dilation - g.pad;
-            for (std::int64_t kx = 0; kx < g.k_w; ++kx, ++w_idx) {
-              const std::int64_t ix =
-                  ox * g.stride + kx * g.dilation - g.pad;
-              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
-                acc += static_cast<double>(w_oc[w_idx]) *
-                       in_plane[iy * g.in_w + ix];
-              }
-            }
-          }
-        }
-        plane[oy * out_w + ox] = static_cast<float>(acc);
-      }
-    }
-  }
-}
-
 }  // namespace
 
-const char* ToString(ConvAlgorithm algo) {
-  switch (algo) {
-    case ConvAlgorithm::kAuto: return "auto";
-    case ConvAlgorithm::kIm2Col: return "im2col";
-    case ConvAlgorithm::kImplicitGemm: return "implicit-gemm";
-    case ConvAlgorithm::kDirect: return "direct";
-  }
-  return "?";
-}
+const char* ToString(ConvAlgorithm /*algo*/) { return "auto"; }
 
-std::optional<ConvAlgorithm> ParseConvAlgorithm(std::string_view value) {
-  if (value == "auto") return ConvAlgorithm::kAuto;
-  if (value == "im2col") return ConvAlgorithm::kIm2Col;
-  if (value == "implicit" || value == "implicit-gemm") {
-    return ConvAlgorithm::kImplicitGemm;
-  }
-  if (value == "direct") return ConvAlgorithm::kDirect;
-  return std::nullopt;
-}
-
-ConvAlgorithm DefaultConvAlgorithm() {
-  return DefaultAlgorithmFlag().load(std::memory_order_relaxed);
-}
-
-void SetDefaultConvAlgorithm(ConvAlgorithm algo) {
-  DefaultAlgorithmFlag().store(algo, std::memory_order_relaxed);
-}
+ConvAlgorithm DefaultConvAlgorithm() { return ConvAlgorithm::kAuto; }
 
 // ----------------------------------------------------- ConvDataGrad -----
 
@@ -210,34 +140,6 @@ bool Conv2d::UsePointwiseFastPath() const {
          opts_.dilation == 1;
 }
 
-ConvAlgorithm Conv2d::chosen_algorithm() const {
-  ConvAlgorithm algo = opts_.algorithm;
-  if (algo == ConvAlgorithm::kAuto) algo = DefaultConvAlgorithm();
-  if (algo == ConvAlgorithm::kAuto) {
-    // Direct is strictly better for pointwise convolutions (no patch
-    // expansion); implicit GEMM wins elsewhere on this substrate.
-    algo = UsePointwiseFastPath() ? ConvAlgorithm::kDirect
-                                  : ConvAlgorithm::kImplicitGemm;
-  }
-  // The implicit-B packer lives in the packed engine; the reference
-  // kernel A/B (EXACLIM_GEMM_KERNEL=reference) falls back to the
-  // bit-identical materialized col path.
-  if (algo == ConvAlgorithm::kImplicitGemm && !GemmUsesPackedEngine()) {
-    algo = ConvAlgorithm::kIm2Col;
-  }
-  return algo;
-}
-
-bool Conv2d::CanFuseEpilogue() const {
-  if (precision() != Precision::kFP32 || !GemmUsesPackedEngine()) {
-    return false;
-  }
-  const ConvAlgorithm algo = chosen_algorithm();
-  return algo == ConvAlgorithm::kImplicitGemm ||
-         algo == ConvAlgorithm::kIm2Col ||
-         (algo == ConvAlgorithm::kDirect && UsePointwiseFastPath());
-}
-
 TensorShape Conv2d::OutputShape(const TensorShape& input) const {
   EXACLIM_CHECK(input.rank() == 4 && input.c() == opts_.in_c,
                 name() << ": bad input " << input.ToString() << ", expected C="
@@ -265,18 +167,16 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
 
   Tensor output(out_shape);
   const Tensor& w = ComputeWeight();
-  const ConvAlgorithm algo = chosen_algorithm();
   const bool pointwise = UsePointwiseFastPath();
-  EXACLIM_CHECK(ops.Empty() || CanFuseEpilogue(),
-                name() << ": epilogue ops on a non-fusable configuration");
-  // Fold the conv's own bias into the GEMM epilogue whenever the packed
-  // writeback allows it: the per-element add is the exact same FP op as
-  // the separate bias pass below, so flipping EXACLIM_CONV_FUSE (or the
-  // algorithm) never changes bits — it only changes how often C is
-  // touched.
+  const bool fp32 = precision() == Precision::kFP32;
+  EXACLIM_CHECK(ops.Empty() || fp32,
+                name() << ": epilogue ops need FP32 precision");
+  // Fold the conv's own bias into the GEMM epilogue whenever it runs in
+  // FP32: the per-element add is the exact same FP op as the separate
+  // bias pass below, so flipping EXACLIM_CONV_FUSE never changes bits —
+  // it only changes how often C is touched.
   const bool use_epilogue =
-      !ops.Empty() ||
-      (bias_.has_value() && ConvFusionEnabled() && CanFuseEpilogue());
+      !ops.Empty() || (bias_.has_value() && ConvFusionEnabled() && fp32);
   GemmEpilogue epi;
   if (use_epilogue) {
     if (bias_) epi.bias = bias_->value.Raw();
@@ -291,31 +191,18 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
   }
   const std::int64_t batch = input.shape().n();
   const std::int64_t shards = ConvGradShards(batch);
-  // The implicit path's headline: no col buffer at all on the forward
-  // hot path — only the kIm2Col reference still materializes patches.
-  const std::int64_t col_elems =
-      algo == ConvAlgorithm::kIm2Col ? g.PatchSize() * g.OutPixels() : 0;
-  workspace_.Configure(shards, col_elems, /*weight_elems=*/0,
+  // No col buffer and no per-shard scratch on the forward: the implicit
+  // path gathers B panels straight from the input.
+  workspace_.Configure(shards, /*scratch_elems=*/0, /*weight_elems=*/0,
                        /*bias_elems=*/0);
-  const GemmImplicitRow* rows = algo == ConvAlgorithm::kImplicitGemm ||
-                                        algo == ConvAlgorithm::kIm2Col
-                                    ? workspace_.ImplicitRows(g)
-                                    : nullptr;
+  const GemmImplicitRow* rows =
+      pointwise ? nullptr : workspace_.ImplicitRows(g);
   const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_stride = opts_.out_c * g.OutPixels();
-  const std::int64_t out_h = g.OutH();
-  const std::int64_t out_w = g.OutW();
   // Pack the weight into the GEMM engine's A-panel layout once; every
   // shard then reuses the panels read-only instead of re-packing W per
   // image inside the per-image GEMMs (DESIGN §10).
-  const bool prepacked = GemmUsesPackedEngine() &&
-                         (algo == ConvAlgorithm::kImplicitGemm ||
-                          algo == ConvAlgorithm::kIm2Col || pointwise);
-  if (prepacked) {
-    const std::int64_t kk =
-        algo == ConvAlgorithm::kDirect ? g.in_c : g.PatchSize();
-    packed_weight_.Pack(false, opts_.out_c, kk, 1.0f, w.Raw());
-  }
+  packed_weight_.Pack(false, opts_.out_c, g.PatchSize(), 1.0f, w.Raw());
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
@@ -328,49 +215,28 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
         epi_n.bn_norm = ops.bn_norm + n * out_stride;
       }
       const GemmEpilogue* epi_ptr = use_epilogue ? &epi_n : nullptr;
-      if (algo == ConvAlgorithm::kImplicitGemm) {
+      const float* x = input.Raw() + n * in_stride;
+      float* y = output.Raw() + n * out_stride;
+      if (pointwise) {
+        // 1x1/stride-1: the activation map already IS the patch matrix.
+        GemmPackedWithA(packed_weight_, false, g.OutPixels(), x, 0.0f, y,
+                        epi_ptr);
+      } else {
         // out[out_c, P] = W[out_c, patch] @ implicit-im2col(x) — the
         // B-panel packer gathers straight from the image (DESIGN §15).
         GemmImplicitB bsrc;
-        bsrc.image = input.Raw() + n * in_stride;
+        bsrc.image = x;
         bsrc.rows = rows;
-        bsrc.out_h = out_h;
-        bsrc.out_w = out_w;
+        bsrc.out_h = g.OutH();
+        bsrc.out_w = g.OutW();
         bsrc.in_row_stride = g.in_w;
         bsrc.stride = g.stride;
-        GemmPackedImplicit(packed_weight_, bsrc, 0.0f,
-                           output.Raw() + n * out_stride, epi_ptr);
-      } else if (algo == ConvAlgorithm::kIm2Col) {
-        float* col = workspace_.Scratch(s);
-        Im2ColFromRows(g, rows, input.Raw() + n * in_stride, col);
-        // out[out_c, P] = W[out_c, patch] @ col[patch, P]
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_, false, g.OutPixels(), col, 0.0f,
-                          output.Raw() + n * out_stride, epi_ptr);
-        } else {
-          Gemm(false, false, opts_.out_c, g.OutPixels(), g.PatchSize(), 1.0f,
-               w.Raw(), col, 0.0f, output.Raw() + n * out_stride);
-        }
-      } else if (pointwise) {
-        // 1x1/stride-1: the activation map already IS the patch matrix.
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_, false, g.OutPixels(),
-                          input.Raw() + n * in_stride, 0.0f,
-                          output.Raw() + n * out_stride, epi_ptr);
-        } else {
-          Gemm(false, false, opts_.out_c, g.OutPixels(), g.in_c, 1.0f,
-               w.Raw(), input.Raw() + n * in_stride, 0.0f,
-               output.Raw() + n * out_stride);
-        }
-      } else {
-        DirectConvImage(g, opts_.out_c, input.Raw() + n * in_stride,
-                        w.Raw(), output.Raw() + n * out_stride);
+        GemmPackedImplicit(packed_weight_, bsrc, 0.0f, y, epi_ptr);
       }
       if (bias_ && !use_epilogue) {
-        float* out_n = output.Raw() + n * out_stride;
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {
           const float b = bias_->value[static_cast<std::size_t>(c)];
-          float* plane = out_n + c * g.OutPixels();
+          float* plane = y + c * g.OutPixels();
           for (std::int64_t p = 0; p < g.OutPixels(); ++p) plane[p] += b;
         }
       }
@@ -389,13 +255,11 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
 
   Tensor grad_input(in_shape);
   const Tensor& w = ComputeWeight();
-  // Backward runs on the packed engine whatever the forward algorithm
-  // or EXACLIM_GEMM_KERNEL (cuDNN likewise picks backward algorithms
-  // independently of the forward), and never materializes a patch
-  // matrix (DESIGN §15): the weight gradient gathers col^T panels
-  // straight from the cached input, the data gradient walks one GEMM
-  // panel per kernel tap. The pointwise fast path needs neither: its
-  // activation map already is the patch matrix.
+  // Backward never materializes a patch matrix (DESIGN §15): the weight
+  // gradient gathers col^T panels straight from the cached input, the
+  // data gradient walks one GEMM panel per kernel tap. The pointwise
+  // fast path needs neither: its activation map already is the patch
+  // matrix.
   //
   // Weight/bias gradients go through per-shard accumulators merged by a
   // fixed-order tree so the batch-parallel result is bit-identical to the

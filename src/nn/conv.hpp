@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "nn/conv_engine.hpp"
@@ -11,37 +10,10 @@
 
 namespace exaclim {
 
-/// Convolution algorithm selection — the stand-in for cuDNN's dynamic
-/// algorithm tuning that Sec VI traces ("all convolutions were performed
-/// using either implicit GEMMs or direct convolutions"). kIm2Col lowers
-/// through a materialized patch buffer; kImplicitGemm runs the packed
-/// GEMM engine's implicit-B path, gathering panels straight from the
-/// input tensor with no col buffer (DESIGN §15); kDirect computes the
-/// convolution in place (for 1×1/stride-1 this is a pure GEMM on the
-/// activation map — the same FLOPs, less memory traffic). kAuto picks
-/// kDirect for pointwise geometries and kImplicitGemm elsewhere.
-/// kImplicitGemm needs the packed engine, so under
-/// EXACLIM_GEMM_KERNEL=reference the forward resolves to kIm2Col. All
-/// algorithms produce bit-identical forward outputs (the sweep in
-/// tests/test_conv_algorithms.cpp holds them to it). The algorithm picks
-/// the forward only: backward always runs the implicit packed-engine
-/// path (ConvDataGrad, GemmPackedImplicitWeightGrad).
-enum class ConvAlgorithm { kAuto, kIm2Col, kImplicitGemm, kDirect };
-
+/// Kept only because perfbench/bench_main.cpp prints it ("auto").
+enum class ConvAlgorithm { kAuto };
 const char* ToString(ConvAlgorithm algo);
-
-/// Parses "auto" / "im2col" / "implicit" (or "implicit-gemm") / "direct";
-/// nullopt on anything else.
-std::optional<ConvAlgorithm> ParseConvAlgorithm(std::string_view value);
-
-/// The process-wide default that layers constructed with kAuto resolve
-/// through: EXACLIM_CONV_ALGO (parsed once) unless overridden, kAuto when
-/// unset or unparsable (= the pointwise→direct, else→implicit policy).
 ConvAlgorithm DefaultConvAlgorithm();
-
-/// Programmatic override of the EXACLIM_CONV_ALGO default (benches and
-/// the algorithm A/B tests flip this per run).
-void SetDefaultConvAlgorithm(ConvAlgorithm algo);
 
 /// Pointwise epilogue ops a fused chain folds into the convolution's
 /// GEMM writeback (DESIGN §15). The conv's own bias is not listed here —
@@ -103,6 +75,16 @@ class ConvDataGrad {
 /// 2-D convolution (NCHW) with stride, zero padding and dilation (atrous).
 /// Weights are [out_c, in_c*k_h*k_w] with He initialisation, optional
 /// bias.
+///
+/// Sec VI traces cuDNN running "all convolutions ... using either
+/// implicit GEMMs or direct convolutions", picked by geometry. Here the
+/// geometry picks too, and there is no other knob: a 1x1 conv with
+/// stride 1, pad 0 and dilation 1 is a GEMM straight on the activation
+/// map (the map already is the patch matrix), every other conv runs the
+/// implicit GEMM, whose B panels the packed engine gathers from the
+/// input with no col buffer (DESIGN §15). The backward makes the same
+/// split: the pointwise GEMMs, or the implicit weight gradient plus
+/// ConvDataGrad. Both directions run on prepacked weight panels.
 class Conv2d : public Layer {
  public:
   struct Options {
@@ -113,7 +95,6 @@ class Conv2d : public Layer {
     std::int64_t pad = -1;  // -1 = "same" for stride 1: dilation*(k/2)
     std::int64_t dilation = 1;
     bool bias = true;
-    ConvAlgorithm algorithm = ConvAlgorithm::kAuto;
   };
 
   Conv2d(std::string name, const Options& opts, Rng& rng);
@@ -125,23 +106,14 @@ class Conv2d : public Layer {
 
   /// Forward with extra epilogue ops fused into the GEMM writeback —
   /// what Sequential's fusion pass calls for Conv2d→BN(→ReLU) chains.
-  /// Requires CanFuseEpilogue() when `ops` is non-empty; Forward() is
-  /// exactly ForwardFused(input, train, {}).
+  /// Non-empty `ops` require FP32 precision (FP16 emulation quantises
+  /// between layers, which the fold would skip); Forward() is exactly
+  /// ForwardFused(input, train, {}).
   Tensor ForwardFused(const Tensor& input, bool train,
                       const ConvFusedOps& ops);
 
-  /// Whether this layer's resolved configuration can fold epilogue ops
-  /// into the GEMM writeback: FP32 precision, the packed engine active,
-  /// and an algorithm that writes C through it (implicit, im2col-GEMM,
-  /// or the pointwise fast path — everything but naive direct loops).
-  bool CanFuseEpilogue() const;
-
   const Options& options() const { return opts_; }
   Param& weight() { return weight_; }
-  /// The algorithm actually used (kAuto resolved through
-  /// DefaultConvAlgorithm, engine fallback applied) — the equivalent of
-  /// the cuDNN API tracing of Sec VI.
-  ConvAlgorithm chosen_algorithm() const;
 
  private:
   ConvGeometry Geometry(std::int64_t h, std::int64_t w) const;

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/alloc_tracker.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
@@ -13,19 +14,12 @@ namespace exaclim {
 namespace {
 
 std::atomic<bool>& BatchParallelFlag() {
-  static std::atomic<bool> flag([] {
-    const char* env = std::getenv("EXACLIM_CONV_SERIAL");
-    return env == nullptr || std::strcmp(env, "0") == 0;
-  }());
+  static std::atomic<bool> flag(!EnvFlag("EXACLIM_CONV_SERIAL", false));
   return flag;
 }
 
 std::atomic<bool>& FusionFlag() {
-  static std::atomic<bool> flag([] {
-    const char* env = std::getenv("EXACLIM_CONV_FUSE");
-    return env == nullptr ||
-           (std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0);
-  }());
+  static std::atomic<bool> flag(EnvFlag("EXACLIM_CONV_FUSE", true));
   return flag;
 }
 

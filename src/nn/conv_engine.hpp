@@ -19,9 +19,10 @@
 namespace exaclim {
 
 /// Whether conv-family layers run their batch shards on the global pool.
-/// Defaults to on; EXACLIM_CONV_SERIAL=1 (or any value other than "0")
-/// forces the serial batch walk. Either mode computes the exact same
-/// floating-point operation sequence per gradient element.
+/// Defaults to on; EXACLIM_CONV_SERIAL set on (a boolean knob,
+/// common/env.hpp) forces the serial batch walk. Either mode computes
+/// the exact same floating-point operation sequence per gradient
+/// element.
 bool ConvBatchParallelEnabled();
 
 /// Programmatic override of the EXACLIM_CONV_SERIAL default (benches and
@@ -30,8 +31,9 @@ void SetConvBatchParallel(bool enabled);
 
 /// Whether Sequential fuses Conv2d→BatchNorm2d→ReLU chains and the conv
 /// layers fold their bias into the packed GEMM epilogue (DESIGN §15).
-/// Defaults to on; EXACLIM_CONV_FUSE=off (or "0") disables. Fused and
-/// unfused execution are bit-identical — this is a pure perf A/B knob.
+/// Defaults to on; EXACLIM_CONV_FUSE set off (a boolean knob,
+/// common/env.hpp) disables. Fused and unfused execution are
+/// bit-identical — this is a pure perf A/B knob.
 bool ConvFusionEnabled();
 
 /// Programmatic override of the EXACLIM_CONV_FUSE default.
@@ -60,13 +62,13 @@ void RunConvShards(std::int64_t shards,
                    FunctionRef<void(std::int64_t)> fn);
 
 /// Reusable per-layer conv workspace: a per-shard scratch panel (the
-/// opt-in kIm2Col forward's patch matrix, or the strided data
-/// gradient's phase image) plus per-shard weight/bias gradient
-/// accumulators. Buffers are pooled blocks (common/pool.hpp), sized once
-/// per (geometry, shard-count) and reused across Forward/Backward calls
-/// — the per-call allocations this replaces dominated small-GEMM conv
-/// layers, and a geometry change recycles the old panels through the
-/// arena free-lists instead of the heap.
+/// strided data gradient's phase image, ConvDataGrad::ScratchElems())
+/// plus per-shard weight/bias gradient accumulators. Buffers are pooled
+/// blocks (common/pool.hpp), sized once per (geometry, shard-count) and
+/// reused across Forward/Backward calls — the per-call allocations this
+/// replaces dominated small-GEMM conv layers, and a geometry change
+/// recycles the old panels through the arena free-lists instead of the
+/// heap.
 class ConvWorkspace {
  public:
   /// (Re)sizes the buffers; cheap no-op when nothing changed. Element

@@ -1,14 +1,14 @@
 #include "nn/im2col.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace exaclim {
 namespace {
 
 // Valid output coordinates along one axis for an input displacement `d`
 // (= k*dilation - pad): the o with 0 <= o*stride + d < in_sz, clamped to
-// [0, out_sz]. Matches the per-element bound checks in Im2Col exactly.
+// [0, out_sz]: the pixels a materialized im2col would copy rather than
+// zero-fill.
 void ValidOutRange(std::int64_t d, std::int64_t stride, std::int64_t in_sz,
                    std::int64_t out_sz, std::int64_t* lo, std::int64_t* hi) {
   *lo = d >= 0 ? 0 : (-d + stride - 1) / stride;
@@ -19,50 +19,6 @@ void ValidOutRange(std::int64_t d, std::int64_t stride, std::int64_t in_sz,
 }
 
 }  // namespace
-
-void Im2Col(const ConvGeometry& g, const float* image, float* col) {
-  const std::int64_t out_h = g.OutH();
-  const std::int64_t out_w = g.OutW();
-  const std::int64_t hw = g.in_h * g.in_w;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.in_c; ++c) {
-    const float* plane = image + c * hw;
-    for (std::int64_t kh = 0; kh < g.k_h; ++kh) {
-      for (std::int64_t kw = 0; kw < g.k_w; ++kw, ++row) {
-        float* dst = col + row * (out_h * out_w);
-        const std::int64_t dy = kh * g.dilation - g.pad;
-        const std::int64_t dx = kw * g.dilation - g.pad;
-        for (std::int64_t oy = 0; oy < out_h; ++oy) {
-          const std::int64_t iy = oy * g.stride + dy;
-          float* dst_row = dst + oy * out_w;
-          if (iy < 0 || iy >= g.in_h) {
-            std::memset(dst_row, 0, sizeof(float) * out_w);
-            continue;
-          }
-          const float* src_row = plane + iy * g.in_w;
-          if (g.stride == 1) {
-            // Contiguous inner copy with explicit edge handling.
-            std::int64_t ox = 0;
-            for (; ox < out_w && ox + dx < 0; ++ox) dst_row[ox] = 0.0f;
-            std::int64_t ox_end = out_w;
-            while (ox_end > ox && ox_end - 1 + dx >= g.in_w) --ox_end;
-            if (ox_end > ox) {
-              std::memcpy(dst_row + ox, src_row + ox + dx,
-                          sizeof(float) * (ox_end - ox));
-            }
-            for (ox = ox_end; ox < out_w; ++ox) dst_row[ox] = 0.0f;
-          } else {
-            for (std::int64_t ox = 0; ox < out_w; ++ox) {
-              const std::int64_t ix = ox * g.stride + dx;
-              dst_row[ox] =
-                  (ix >= 0 && ix < g.in_w) ? src_row[ix] : 0.0f;
-            }
-          }
-        }
-      }
-    }
-  }
-}
 
 void BuildImplicitRows(const ConvGeometry& g, GemmImplicitRow* rows) {
   const std::int64_t out_h = g.OutH();
@@ -78,39 +34,6 @@ void BuildImplicitRows(const ConvGeometry& g, GemmImplicitRow* rows) {
         ValidOutRange(dy, g.stride, g.in_h, out_h, &rd.oy_lo, &rd.oy_hi);
         ValidOutRange(dx, g.stride, g.in_w, out_w, &rd.ox_lo, &rd.ox_hi);
       }
-    }
-  }
-}
-
-void Im2ColFromRows(const ConvGeometry& g, const GemmImplicitRow* rows,
-                    const float* image, float* col) {
-  const std::int64_t out_h = g.OutH();
-  const std::int64_t out_w = g.OutW();
-  const std::int64_t patch = g.PatchSize();
-  for (std::int64_t r = 0; r < patch; ++r) {
-    const GemmImplicitRow& rd = rows[r];
-    float* dst = col + r * out_h * out_w;
-    for (std::int64_t oy = 0; oy < out_h; ++oy, dst += out_w) {
-      if (oy < rd.oy_lo || oy >= rd.oy_hi) {
-        std::memset(dst, 0, sizeof(float) * out_w);
-        continue;
-      }
-      // Full int64 element index before pointer arithmetic — rd.offset
-      // alone may be negative (padding), but base + ox*stride is in
-      // bounds for every ox in [ox_lo, ox_hi).
-      const std::int64_t base = rd.offset + oy * g.stride * g.in_w;
-      std::int64_t ox = 0;
-      for (; ox < rd.ox_lo; ++ox) dst[ox] = 0.0f;
-      if (g.stride == 1) {
-        if (rd.ox_hi > ox) {
-          std::memcpy(dst + ox, image + (base + ox),
-                      sizeof(float) * (rd.ox_hi - ox));
-        }
-        ox = std::max(ox, rd.ox_hi);
-      } else {
-        for (; ox < rd.ox_hi; ++ox) dst[ox] = image[base + ox * g.stride];
-      }
-      for (; ox < out_w; ++ox) dst[ox] = 0.0f;
     }
   }
 }

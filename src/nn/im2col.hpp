@@ -36,26 +36,12 @@ struct ConvGeometry {
   bool operator==(const ConvGeometry&) const = default;
 };
 
-/// Expands one image (C,H,W row-major) into the patch matrix
-/// col[PatchSize(), OutPixels()]: column p holds the receptive field of
-/// output pixel p, zero-padded outside the image. This is the lowering
-/// that turns convolution into GEMM (the "implicit GEMM" form of Sec VI).
-void Im2Col(const ConvGeometry& g, const float* image, float* col);
-
 /// Builds the PatchSize() implicit-GEMM row descriptors for `g` into
 /// `rows` (DESIGN §15): per (ci, kh, kw) the image offset plus the valid
-/// output-pixel rectangle, everything the engine's B-panel gather and
-/// Im2ColFromRows need. Geometry-dependent setup done once per geometry
-/// (into pooled scratch — ConvWorkspace::ImplicitRows caches it), not
-/// once per batch element.
+/// output-pixel rectangle, everything the engine's B-panel gather needs.
+/// Geometry-dependent setup done once per geometry (into pooled scratch
+/// — ConvWorkspace::ImplicitRows caches it), not once per batch element.
 void BuildImplicitRows(const ConvGeometry& g, GemmImplicitRow* rows);
-
-/// Table-driven Im2Col: identical output to Im2Col(g, image, col) (bit
-/// for bit — copies and zeros only), but all geometry/bounds decisions
-/// come precomputed from the row table, so per-image work is pure data
-/// movement. Serves the opt-in kIm2Col forward.
-void Im2ColFromRows(const ConvGeometry& g, const GemmImplicitRow* rows,
-                    const float* image, float* col);
 
 /// One stride phase of a convolution's input grid: the pixels
 /// (py + stride*qy, px + stride*qx), grid_h x grid_w of them. A kernel

@@ -1,140 +1,14 @@
 #include "tensor/gemm.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
-#include "common/workspace.hpp"
 #include "tensor/gemm_kernel.hpp"
 
 namespace exaclim {
-namespace {
-
-// Reference kernel (EXACLIM_GEMM_KERNEL=reference): the pre-engine flat
-// cache-blocked walk, kept for A/B testing and bisection against the
-// packed microkernel engine in gemm_kernel.cpp.
-constexpr std::int64_t kBlockM = 64;
-constexpr std::int64_t kBlockN = 256;
-constexpr std::int64_t kBlockK = 256;
-
-inline float LoadA(const float* a, bool trans_a, std::int64_t m,
-                   std::int64_t k, std::int64_t i, std::int64_t p) {
-  return trans_a ? a[p * m + i] : a[i * k + p];
-}
-
-inline float LoadB(const float* b, bool trans_b, std::int64_t k,
-                   std::int64_t n, std::int64_t p, std::int64_t j) {
-  return trans_b ? b[j * k + p] : b[p * n + j];
-}
-
-// Computes one M-panel of C. Packs the K×N panel of op(B) once per K-block
-// so the inner loop streams contiguously regardless of transposes. The
-// panel buffer is this thread's persistent scratch slot — tasks used to
-// construct a std::vector per closure invocation, which put a malloc/free
-// on every dispatch.
-void GemmPanel(bool trans_a, bool trans_b, std::int64_t i0, std::int64_t i1,
-               std::int64_t n, std::int64_t k, float alpha, const float* a,
-               std::int64_t m, const float* b, float beta, float* c) {
-  float* packed =
-      AcquireScratch(ScratchSlot::kGemmRefPanel,
-                     static_cast<std::size_t>(kBlockK) * kBlockN);
-
-  for (std::int64_t i = i0; i < i1; ++i) {
-    float* row = c + i * n;
-    if (beta == 0.0f) {
-      std::fill(row, row + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) row[j] *= beta;
-    }
-  }
-
-  for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
-    const std::int64_t pb = std::min(kBlockK, k - p0);
-    for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-      const std::int64_t jb = std::min(kBlockN, n - j0);
-      // Pack op(B)[p0:p0+pb, j0:j0+jb] row-major into the panel buffer.
-      for (std::int64_t p = 0; p < pb; ++p) {
-        float* dst = packed + p * jb;
-        if (!trans_b) {
-          const float* src = b + (p0 + p) * n + j0;
-          std::copy(src, src + jb, dst);
-        } else {
-          for (std::int64_t j = 0; j < jb; ++j) {
-            dst[j] = LoadB(b, trans_b, k, n, p0 + p, j0 + j);
-          }
-        }
-      }
-      for (std::int64_t ii0 = i0; ii0 < i1; ii0 += kBlockM) {
-        const std::int64_t ib = std::min(kBlockM, i1 - ii0);
-        for (std::int64_t i = ii0; i < ii0 + ib; ++i) {
-          float* crow = c + i * n + j0;
-          // Unroll by 4 over K for ILP; the compiler vectorises over j.
-          std::int64_t p = 0;
-          for (; p + 4 <= pb; p += 4) {
-            const float a0 = alpha * LoadA(a, trans_a, m, k, i, p0 + p);
-            const float a1 = alpha * LoadA(a, trans_a, m, k, i, p0 + p + 1);
-            const float a2 = alpha * LoadA(a, trans_a, m, k, i, p0 + p + 2);
-            const float a3 = alpha * LoadA(a, trans_a, m, k, i, p0 + p + 3);
-            const float* b0 = packed + p * jb;
-            const float* b1 = b0 + jb;
-            const float* b2 = b1 + jb;
-            const float* b3 = b2 + jb;
-            for (std::int64_t j = 0; j < jb; ++j) {
-              crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-            }
-          }
-          for (; p < pb; ++p) {
-            const float av = alpha * LoadA(a, trans_a, m, k, i, p0 + p);
-            const float* brow = packed + p * jb;
-            for (std::int64_t j = 0; j < jb; ++j) crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-void GemmReference(bool trans_a, bool trans_b, std::int64_t m,
-                   std::int64_t n, std::int64_t k, float alpha,
-                   const float* a, const float* b, float beta, float* c) {
-  // Tasks are M-panels; panels are independent so this is safely parallel.
-  // Clamp the grain so every task covers at least one full kBlockM panel:
-  // at paper-scale pixel counts (n = 884736 for a 1152×768 map) the
-  // flops-balancing term degenerates below 1 and would dispatch one
-  // closure per row.
-  const std::size_t grain = static_cast<std::size_t>(std::max<std::int64_t>(
-      kBlockM, kBlockM * 512 / std::max<std::int64_t>(1, n)));
-  ParallelFor(
-      0, static_cast<std::size_t>(m),
-      [&](std::size_t lo, std::size_t hi) {
-        GemmPanel(trans_a, trans_b, static_cast<std::int64_t>(lo),
-                  static_cast<std::int64_t>(hi), n, k, alpha, a, m, b, beta,
-                  c);
-      },
-      grain);
-}
-
-}  // namespace
 
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c) {
-  if (m == 0 || n == 0) return;
-  if (k == 0 || alpha == 0.0f) {
-    // BLAS semantics: no product term, C = beta*C; beta == 0 overwrites C,
-    // never reads it (C may hold NaN/Inf garbage).
-    if (beta == 0.0f) {
-      std::fill(c, c + m * n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t i = 0; i < m * n; ++i) c[i] *= beta;
-    }
-    return;
-  }
-  if (GemmUsesPackedEngine()) {
-    GemmPacked(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
-    return;
-  }
-  GemmReference(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
+  GemmPacked(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
 }
 
 void GemmChecked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,

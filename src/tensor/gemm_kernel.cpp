@@ -1,8 +1,6 @@
 #include "tensor/gemm_kernel.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -31,16 +29,6 @@ static_assert(kGemmPackAElems == static_cast<std::size_t>(MC * KC) &&
 
 std::int64_t RoundUp(std::int64_t v, std::int64_t unit) {
   return (v + unit - 1) / unit * unit;
-}
-
-std::atomic<GemmKernelMode>& ModeFlag() {
-  static std::atomic<GemmKernelMode> flag([] {
-    if (const char* env = std::getenv("EXACLIM_GEMM_KERNEL")) {
-      if (const auto parsed = ParseGemmKernelMode(env)) return *parsed;
-    }
-    return GemmKernelMode::kAuto;
-  }());
-  return flag;
 }
 
 struct ResolvedKernel {
@@ -561,33 +549,9 @@ void RunPackedDataGrad(const GemmConvTap* taps, std::int64_t n_taps,
 
 // ------------------------------------------------- kernel selection -----
 
-const char* ToString(GemmKernelMode mode) {
-  switch (mode) {
-    case GemmKernelMode::kAuto: return "auto";
-    case GemmKernelMode::kPacked: return "packed";
-    case GemmKernelMode::kReference: return "reference";
-  }
-  return "?";
-}
+const char* ToString(GemmKernelMode /*mode*/) { return "auto"; }
 
-std::optional<GemmKernelMode> ParseGemmKernelMode(std::string_view value) {
-  if (value == "auto") return GemmKernelMode::kAuto;
-  if (value == "packed") return GemmKernelMode::kPacked;
-  if (value == "reference") return GemmKernelMode::kReference;
-  return std::nullopt;
-}
-
-GemmKernelMode GemmKernelModeInUse() {
-  return ModeFlag().load(std::memory_order_relaxed);
-}
-
-void SetGemmKernelMode(GemmKernelMode mode) {
-  ModeFlag().store(mode, std::memory_order_relaxed);
-}
-
-bool GemmUsesPackedEngine() {
-  return GemmKernelModeInUse() != GemmKernelMode::kReference;
-}
+GemmKernelMode GemmKernelModeInUse() { return GemmKernelMode::kAuto; }
 
 const char* GemmMicroKernelName() { return ActiveKernel().name; }
 

@@ -22,45 +22,21 @@
 // panel. Variants: AVX2+FMA and NEON intrinsics selected at runtime when
 // compiled in, with a portable autovectorized kernel as fallback.
 //
-// Kernel selection for the public Gemm() entry point is controlled by
-// EXACLIM_GEMM_KERNEL={auto,packed,reference} (SetGemmKernelMode overrides
-// programmatically); `reference` keeps the pre-engine blocked walk for
-// A/B testing and bisection of Gemm() and the conv forward. The conv
-// backward entry points below have no reference twin and ignore it.
+// This is the only GEMM engine: Gemm() and every conv forward and
+// backward path run on it. The pre-engine blocked walk survives only as
+// bench_micro_gemm's timing baseline.
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace exaclim {
 
 // ------------------------------------------------- kernel selection -----
 
-enum class GemmKernelMode {
-  kAuto,       // currently identical to kPacked
-  kPacked,     // the packed microkernel engine
-  kReference,  // pre-engine cache-blocked walk (gemm.cpp)
-};
-
+/// Kept only because perfbench/bench_main.cpp prints it ("auto").
+enum class GemmKernelMode { kAuto };
 const char* ToString(GemmKernelMode mode);
-
-/// Parses "auto" / "packed" / "reference"; nullopt on anything else.
-std::optional<GemmKernelMode> ParseGemmKernelMode(std::string_view value);
-
-/// Mode in use by Gemm(): the programmatic override if set, else
-/// EXACLIM_GEMM_KERNEL (parsed once), else kAuto. Unparsable env values
-/// fall back to kAuto.
 GemmKernelMode GemmKernelModeInUse();
-
-/// Programmatic override (benches and the fuzz tests flip this per run).
-void SetGemmKernelMode(GemmKernelMode mode);
-
-/// True when the packed engine serves Gemm() (mode != kReference). The
-/// conv forward keys its prepacked weight panels and implicit path off
-/// this, so EXACLIM_GEMM_KERNEL=reference A/B-tests the forward; conv
-/// backward always runs the packed engine.
-bool GemmUsesPackedEngine();
 
 /// Name of the microkernel variant the packed engine dispatches to on
 /// this machine: "avx2-fma", "neon" or "portable".

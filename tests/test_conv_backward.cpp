@@ -5,8 +5,7 @@
 // geometry — kernel 1/3/5, stride 1/2/3, dilation 1/2/4, pad 0 or
 // "same", out_pad, non-square images, channel counts off the MR/NR grid
 // and above KC, batches 1/3/4/5, FP16 emulation, and output gradients
-// holding -0.0. ci.sh runs this suite under EXACLIM_GEMM_KERNEL=packed
-// and =reference: backward never consults the knob, so both must pass.
+// holding -0.0.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,7 @@
 
 #include "conv_oracle.hpp"
 #include "nn/conv.hpp"
-#include "tensor/gemm_kernel.hpp"
+#include "nn/conv_engine.hpp"
 
 namespace exaclim {
 namespace {
@@ -210,18 +209,18 @@ TEST(Conv2dOracle, AllNegativeZeroGradient) {
   CheckConv2d(c, &g);
 }
 
-// Backward ignores EXACLIM_GEMM_KERNEL: under the reference kernel the
-// layers still run the packed implicit path and match the oracle.
-TEST(Conv2dOracle, ReferenceKernelModeStillMatches) {
-  const GemmKernelMode saved = GemmKernelModeInUse();
-  SetGemmKernelMode(GemmKernelMode::kReference);
+// The serial batch walk (EXACLIM_CONV_SERIAL) runs the same per-image
+// GEMMs in shard order and must match the oracle too.
+TEST(Conv2dOracle, SerialBatchWalkStillMatches) {
+  const bool saved = ConvBatchParallelEnabled();
+  SetConvBatchParallel(false);
   CheckConv2d({.in_c = 5, .out_c = 7, .kernel = 3, .stride = 2, .pad = 1,
                .dilation = 1, .h = 12, .w = 11, .batch = 3});
   CheckConv2d({.in_c = 5, .out_c = 7, .kernel = 1, .stride = 1, .pad = 0,
                .dilation = 1, .h = 6, .w = 9, .batch = 2});
   CheckDeconv({.in_c = 4, .out_c = 3, .kernel = 3, .stride = 2, .pad = 1,
                .out_pad = 1, .h = 5, .w = 7, .batch = 3});
-  SetGemmKernelMode(saved);
+  SetConvBatchParallel(saved);
 }
 
 // ------------------------------------------------ ConvTranspose2d cases --

@@ -1,7 +1,8 @@
 // Batch-parallel convolution engine (DESIGN §9): serial-vs-parallel
 // bit-exactness of gradients, the nesting-aware thread-pool policy as
-// seen from conv, workspace reuse across geometry changes, and the GEMM
-// correctness fixes that rode along (k == 0 fast path, grain clamp).
+// seen from conv, workspace reuse across geometry changes, the GEMM
+// edge cases that rode along (k == 0, wide N), and the fused-epilogue
+// chains (DESIGN §15).
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@
 #include "nn/norm.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/gemm_kernel.hpp"
 
 namespace exaclim {
 namespace {
@@ -217,8 +217,8 @@ TEST(GemmEdge, ZeroKBetaZeroOverwritesGarbage) {
   EXPECT_EQ(c3, (std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f}));
 }
 
-// Wide-N GEMM exercises the grain clamp (one kBlockM panel minimum per
-// task); validate against a naive reference.
+// Wide-N GEMM (one NC block of C columns, three rows) against a naive
+// reference.
 TEST(GemmEdge, WideNMatchesNaiveReference) {
   const std::int64_t m = 3, n = 2048, k = 5;
   Rng rng(47);
@@ -239,7 +239,7 @@ TEST(GemmEdge, WideNMatchesNaiveReference) {
   }
 }
 
-// ------------- implicit GEMM + fused epilogues (DESIGN §15) -------------
+// ---------------------- fused epilogue chains (DESIGN §15) --------------
 
 /// Restores the fusion knob on scope exit.
 struct FusionGuard {
@@ -247,64 +247,9 @@ struct FusionGuard {
   ~FusionGuard() { SetConvFusion(saved); }
 };
 
-/// Restores the GEMM kernel mode on scope exit.
-struct KernelModeGuard {
-  GemmKernelMode saved = GemmKernelModeInUse();
-  ~KernelModeGuard() { SetGemmKernelMode(saved); }
-};
-
 std::vector<float> Snapshot(const Tensor& t) {
   return {t.Data().begin(), t.Data().end()};
 }
-
-struct ImplicitGeo {
-  std::int64_t in_c, out_c, kernel, stride, pad, dilation;
-  std::int64_t h, w;
-};
-
-class ConvImplicitBitExact : public ::testing::TestWithParam<ImplicitGeo> {};
-
-// The implicit B-panel gather must reproduce the materialized im2col
-// lowering bit-for-bit — same packed panels, same contraction order —
-// with and without the bias epilogue fold.
-TEST_P(ConvImplicitBitExact, ForwardMatchesIm2ColBitwise) {
-  FusionGuard guard;
-  const ImplicitGeo g = GetParam();
-  for (const bool fuse : {false, true}) {
-    SetConvFusion(fuse);
-    Conv2d::Options opts{.in_c = g.in_c, .out_c = g.out_c,
-                         .kernel = g.kernel, .stride = g.stride,
-                         .pad = g.pad, .dilation = g.dilation,
-                         .bias = true,
-                         .algorithm = ConvAlgorithm::kImplicitGemm};
-    Rng r1(71);
-    Conv2d implicit_conv("i", opts, r1);
-    opts.algorithm = ConvAlgorithm::kIm2Col;
-    Rng r2(71);
-    Conv2d col_conv("c", opts, r2);
-    Rng xrng(73);
-    const Tensor x = Tensor::Uniform(
-        TensorShape::NCHW(2, g.in_c, g.h, g.w), xrng, -1.0f, 1.0f);
-    const Tensor yi = implicit_conv.Forward(x, false);
-    const Tensor yc = col_conv.Forward(x, false);
-    ASSERT_EQ(yi.shape(), yc.shape());
-    ExpectBitIdentical(Snapshot(yi), Snapshot(yc),
-                       fuse ? "fused forward" : "unfused forward");
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    GeometrySweep, ConvImplicitBitExact,
-    ::testing::Values(ImplicitGeo{3, 4, 3, 1, 1, 1, 8, 9},   // plain 3x3
-                      ImplicitGeo{2, 5, 1, 1, 0, 1, 7, 7},   // pointwise
-                      ImplicitGeo{4, 2, 3, 2, 1, 1, 9, 10},  // strided
-                      ImplicitGeo{2, 3, 3, 2, 0, 1, 9, 9},   // stride 2 pad 0
-                      ImplicitGeo{2, 3, 3, 1, 2, 2, 8, 8},   // atrous d=2
-                      ImplicitGeo{2, 3, 3, 1, -1, 2, 8, 8},  // dilated same
-                      ImplicitGeo{2, 2, 3, 1, -1, 4, 10, 9},
-                      ImplicitGeo{1, 2, 5, 2, 2, 1, 11, 10},  // 5x5 strided
-                      ImplicitGeo{3, 3, 7, 2, 3, 1, 14, 14},  // stem 7x7/2
-                      ImplicitGeo{2, 2, 3, 1, 6, 6, 9, 9}));  // extreme d=6
 
 /// Runs one forward+backward step through a Conv2d(→BN)(→ReLU) chain with
 /// fusion on or off, returning bitwise-comparable results. All RNG seeds
@@ -345,10 +290,6 @@ GradSnapshot RunChainStep(bool fuse, bool with_bn, bool with_relu,
 constexpr Conv2d::Options kChain3x3{.in_c = 3, .out_c = 4};
 constexpr Conv2d::Options kChainPointwise{.in_c = 3, .out_c = 4,
                                           .kernel = 1, .pad = 0};
-constexpr Conv2d::Options kChainDirect{.in_c = 3, .out_c = 4,
-                                       .algorithm = ConvAlgorithm::kDirect};
-constexpr Conv2d::Options kChainIm2Col{.in_c = 3, .out_c = 4,
-                                       .algorithm = ConvAlgorithm::kIm2Col};
 
 void ExpectChainBitIdentical(bool with_bn, bool with_relu,
                              const Conv2d::Options& copts, bool train) {
@@ -388,43 +329,13 @@ TEST(ConvFusion, ConvReluChainMatchesUnfused) {
                           /*train=*/false);
 }
 
-// The pointwise fast path (auto → direct 1x1) writes C through the packed
-// engine too, so the full eval fold applies there.
+// The pointwise branch (a GEMM straight on the activation map) writes C
+// through the packed engine too, so the full eval fold applies there.
 TEST(ConvFusion, PointwiseFastPathFusesBitExact) {
   ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
                           kChainPointwise, /*train=*/true);
   ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
                           kChainPointwise, /*train=*/false);
-}
-
-// The materialized-col algorithm writes C through the same packed engine,
-// so the epilogue fold must hold there too.
-TEST(ConvFusion, Im2ColAlgorithmFusesBitExact) {
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainIm2Col, /*train=*/true);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainIm2Col, /*train=*/false);
-}
-
-// A forced-direct 3x3 conv has no GEMM epilogue: fusion reduces to the
-// in-place BN+ReLU sweep, which must still be bit-identical.
-TEST(ConvFusion, DirectAlgorithmFallsBackToBnSweep) {
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainDirect, /*train=*/true);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainDirect, /*train=*/false);
-}
-
-// Under EXACLIM_GEMM_KERNEL=reference there is no packed engine: fusion
-// degrades to the BN-sweep path (no GEMM epilogue) and must still be
-// bit-identical — the ci.sh A/B runs this whole suite in that mode.
-TEST(ConvFusion, ReferenceKernelFallbackMatchesUnfused) {
-  KernelModeGuard guard;
-  SetGemmKernelMode(GemmKernelMode::kReference);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true, kChain3x3,
-                          /*train=*/true);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true, kChain3x3,
-                          /*train=*/false);
 }
 
 // ------------- TSan stress: the fused path's threaded writebacks --------

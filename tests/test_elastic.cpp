@@ -26,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "stats/stats.hpp"
+#include "scoped_env.hpp"
 #include "train/trainer.hpp"
 
 namespace exaclim {
@@ -79,6 +80,44 @@ TEST(ElasticOptionsEnv, FromEnvOverridesProgrammaticOptions) {
   ::unsetenv("EXACLIM_ELASTIC_TIMEOUT");
   ::unsetenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT");
   EXPECT_FALSE(ElasticOptions::FromEnv(ElasticOptions{}).enabled);
+}
+
+// EXACLIM_ELASTIC reads like every boolean knob: "", "0", "off" and
+// "false" are off, anything else on.
+TEST(ElasticOptionsEnv, OffSpellings) {
+  ElasticOptions base;
+  base.enabled = true;
+  for (const char* off : {"", "0", "off", "false"}) {
+    const testing::ScopedEnv env("EXACLIM_ELASTIC", off);
+    EXPECT_FALSE(ElasticOptions::FromEnv(base).enabled) << "'" << off << "'";
+  }
+}
+
+// Malformed timeouts fail loudly, naming the knob: a prefix parse would
+// read "5s" as 5, and a bare std::stod error names no knob.
+TEST(ElasticOptionsEnv, RejectsMalformedTimeouts) {
+  for (const char* knob :
+       {"EXACLIM_ELASTIC_TIMEOUT", "EXACLIM_ELASTIC_REBUILD_TIMEOUT"}) {
+    for (const char* bad : {"5s", "abc", "", "-1", "inf", "nan", " 5"}) {
+      const testing::ScopedEnv env(knob, bad);
+      try {
+        (void)ElasticOptions::FromEnv(ElasticOptions{});
+        ADD_FAILURE() << knob << "='" << bad << "' did not throw";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW(
+      {
+        const testing::ScopedEnv env("EXACLIM_ELASTIC_TIMEOUT", "2.5min");
+        (void)ElasticOptions::FromEnv(ElasticOptions{});
+      },
+      Error);
+  const testing::ScopedEnv env("EXACLIM_ELASTIC_REBUILD_TIMEOUT", "0.5");
+  EXPECT_DOUBLE_EQ(ElasticOptions::FromEnv(ElasticOptions{}).rebuild_timeout_s,
+                   0.5);
 }
 
 // ------------------------------------------------------------ Deadline --

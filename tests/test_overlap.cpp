@@ -24,6 +24,7 @@
 #include "common/half.hpp"
 #include "hvd/exchanger.hpp"
 #include "tensor/cast.hpp"
+#include "scoped_env.hpp"
 #include "train/trainer.hpp"
 
 namespace exaclim {
@@ -297,6 +298,51 @@ TEST(ExchangerOptionsEnv, FromEnvOverridesProgrammaticOptions) {
   ::unsetenv("EXACLIM_OVERLAP");
   ::unsetenv("EXACLIM_FUSION_BYTES");
   ::unsetenv("EXACLIM_WIRE");
+}
+
+// EXACLIM_OVERLAP reads like every boolean knob: "", "0", "off" and
+// "false" are off, anything else on.
+TEST(ExchangerOptionsEnv, OverlapOffSpellings) {
+  ExchangerOptions base;
+  base.overlap = true;
+  for (const char* off : {"", "0", "off", "false"}) {
+    const testing::ScopedEnv env("EXACLIM_OVERLAP", off);
+    EXPECT_FALSE(ExchangerOptions::FromEnv(base).overlap) << "'" << off << "'";
+  }
+  const testing::ScopedEnv env("EXACLIM_OVERLAP", "on");
+  EXPECT_TRUE(ExchangerOptions::FromEnv(ExchangerOptions{}).overlap);
+}
+
+// A malformed value must fail loudly, naming the knob: a prefix parse
+// would read "4M" as a 4-byte threshold, and an ignored "bf16" would
+// silently keep the FP32 wire.
+TEST(ExchangerOptionsEnv, RejectsMalformedValues) {
+  for (const char* bad : {"4M", "abc", "", "-1", "1.5", " 64", "64 "}) {
+    const testing::ScopedEnv env("EXACLIM_FUSION_BYTES", bad);
+    EXPECT_THROW((void)ExchangerOptions::FromEnv(ExchangerOptions{}), Error)
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"bf16", "FP16", "", "fp16 "}) {
+    const testing::ScopedEnv env("EXACLIM_WIRE", bad);
+    EXPECT_THROW((void)ExchangerOptions::FromEnv(ExchangerOptions{}), Error)
+        << "'" << bad << "'";
+  }
+  {
+    const testing::ScopedEnv env("EXACLIM_FUSION_BYTES", "4M");
+    try {
+      (void)ExchangerOptions::FromEnv(ExchangerOptions{});
+      ADD_FAILURE() << "no throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("EXACLIM_FUSION_BYTES"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const testing::ScopedEnv bytes("EXACLIM_FUSION_BYTES", "0");
+  const testing::ScopedEnv wire("EXACLIM_WIRE", "half");
+  const ExchangerOptions ok = ExchangerOptions::FromEnv(ExchangerOptions{});
+  EXPECT_EQ(ok.fusion_threshold_bytes, 0);
+  EXPECT_EQ(ok.wire_precision, Precision::kFP16);
 }
 
 // ------------------------------------------- binary16 overflow boundary --

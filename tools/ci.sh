@@ -12,12 +12,11 @@
 #   3. bench-smoke: one bench run + BENCH_*.json schema validation
 #   4. perf-smoke: bench_micro_conv engine comparison; the batch-parallel
 #      conv engine must not be slower than the serial batch walk, the
-#      implicit-GEMM forward must hold ≥ 0.95× of im2col and the
-#      implicit backward ≥ 0.95× of the materialized oracle on every
-#      bench shape, the fused conv→BN→ReLU epilogue must beat the
-#      unfused chain, the ConvFusion suite re-runs under
-#      EXACLIM_GEMM_KERNEL=reference as a fallback A/B, and the
-#      backward oracle suite runs under both kernel modes (DESIGN §15)
+#      implicit-GEMM forward and backward must each hold ≥ 0.95× of the
+#      materialized oracle on every bench shape, the fused conv→BN→ReLU
+#      epilogue must beat the unfused chain, the backward oracle suite
+#      re-runs, and the packed GEMM engine must beat the pre-engine
+#      blocked walk (DESIGN §15)
 #   5. alloc-smoke: bench_alloc_census per-phase allocation ratchet,
 #      pooled (tools/alloc_budget.json, all budgets 0) and with
 #      EXACLIM_POOL=off (tools/alloc_budget_pool_off.json) — DESIGN §11/§12
@@ -82,43 +81,37 @@ run env EXACLIM_BENCH_DIR="$BENCH_DIR" \
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
   --assert-le fwd_bwd_parallel_b4_ms fwd_bwd_serial_b4_ms 1.15 \
   --assert-le fwd_bwd_parallel_b8_ms fwd_bwd_serial_b8_ms 1.15
-# Implicit-GEMM packing (DESIGN §15) must hold ≥ 0.95× of the im2col
-# path on every bench shape (time gate: implicit <= im2col × 1/0.95),
-# and the fused conv→BN→ReLU epilogue must never regress the unfused
-# three-pass chain. Quiet-machine fused speedups are ≥ 1.7×, but CPU
-# contention compresses the ratio (both paths time-slice the same
+# Implicit-GEMM packing (DESIGN §15) must hold ≥ 0.95× of the
+# materialized im2col oracle (tests/conv_oracle.hpp) on every bench
+# shape (time gate: implicit <= oracle × 1/0.95), and the fused
+# conv→BN→ReLU epilogue must never regress the unfused three-pass chain.
+# Quiet-machine fused speedups are ≥ 1.7×, but CPU contention
+# compresses the ratio (both paths time-slice the same
 # cores and the eliminated passes are exactly the hideable memory-bound
 # work), so the tile gate is no-regression (1.0) and only the pointwise
 # shape — whose fold eliminates over half the work even fully loaded —
 # carries the sharper 0.9 win gate.
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
-  --assert-le conv_implicit_b4_ms conv_im2col_b4_ms 1.0527 \
-  --assert-le conv_implicit_atrous_ms conv_im2col_atrous_ms 1.0527 \
-  --assert-le conv_implicit_stride2_ms conv_im2col_stride2_ms 1.0527 \
+  --assert-le conv_fwd_implicit_b4_ms conv_fwd_oracle_b4_ms 1.0527 \
+  --assert-le conv_fwd_implicit_atrous_ms conv_fwd_oracle_atrous_ms 1.0527 \
+  --assert-le conv_fwd_implicit_stride2_ms conv_fwd_oracle_stride2_ms 1.0527 \
   --assert-le conv_fused_tile_eval_ms conv_unfused_tile_eval_ms 1.0 \
   --assert-le conv_fused_pointwise_eval_ms conv_unfused_pointwise_eval_ms 0.9
 # The implicit backward (weight gradient gathered from the cached input,
 # data gradient one tap panel at a time, no grad-col buffer) must hold
 # ≥ 0.95× of the materialized im2col / grad-col / Col2Im oracle it
 # replaced on every bench shape — the forward gates' convention. Its
-# gradients must match that oracle bitwise whatever EXACLIM_GEMM_KERNEL
-# says: backward never consults the knob, so the suite runs in both
-# modes.
+# gradients must match that oracle bitwise.
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
   --assert-le conv_bwd_implicit_b4_ms conv_bwd_oracle_b4_ms 1.0527 \
   --assert-le conv_bwd_implicit_atrous_ms conv_bwd_oracle_atrous_ms 1.0527 \
   --assert-le conv_bwd_implicit_stride2_ms conv_bwd_oracle_stride2_ms 1.0527
-run env EXACLIM_GEMM_KERNEL=packed ./build/tests/test_conv_backward
-run env EXACLIM_GEMM_KERNEL=reference ./build/tests/test_conv_backward
-# A/B the fused-chain suite against the reference (unpacked) GEMM walk:
-# with EXACLIM_GEMM_KERNEL=reference the fused path falls back to the
-# layer-sweep chain, which must stay bit-identical to the unfused run.
-run env EXACLIM_GEMM_KERNEL=reference \
-  ./build/tests/test_conv_engine --gtest_filter='ConvFusion*'
+run ./build/tests/test_conv_backward
 # The GEMM kernel comparison in bench_micro_gemm times the packed
-# microkernel engine against the reference blocked walk on the conv
-# im2col shape. The reference must never come out faster (GFLOP/s are
-# rates, so the gate reads reference <= packed).
+# microkernel engine against the pre-engine blocked walk (kept in the
+# bench as its baseline) on the conv im2col shape. The reference must
+# never come out faster (GFLOP/s are rates, so the gate reads
+# reference <= packed).
 run env EXACLIM_BENCH_DIR="$BENCH_DIR" \
   ./build/bench/bench_micro_gemm --benchmark_filter='-.*'
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_gemm.json \

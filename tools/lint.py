@@ -16,6 +16,9 @@ or `// lint:allow(rule-id)` / `// lint:allow(rule-a,rule-b)` to suppress
 only the named rules. File-scoped rules (pragma-once, guarded-include,
 alloc-guard-include) are structural and cannot be line-suppressed.
 
+Repo rules (knob-doc) run once per invocation over the whole tree
+rather than per file: they cross-check src/ against README.md.
+
 Hot-path regions: code between `// hot-path: begin` and
 `// hot-path: end` markers — plus every file listed in
 tools/hot_path_manifest.txt — is subject to the hot-path-alloc rule.
@@ -222,6 +225,10 @@ class Linter:
         ctx = self.make_context(path)
         for rule in RULES:
             rule.check(ctx, self)
+
+    def lint_repo(self) -> None:
+        for rule in REPO_RULES:
+            rule.check_repo(self)
 
 
 # ------------------------------------------------------------------ rules --
@@ -490,6 +497,56 @@ class AllocGuardIncludeRule(Rule):
                           "common/alloc_tracker.hpp")
 
 
+class RepoRule:
+    """A cross-file rule: runs once per lint run over the whole tree."""
+
+    id = ""
+    doc = ""
+
+    def check_repo(self, linter: Linter) -> None:
+        raise NotImplementedError
+
+
+class KnobDocRule(RepoRule):
+    id = "knob-doc"
+    doc = ("every EXACLIM_* knob src/ reads — getenv(\"EXACLIM_…\") or a "
+           "common/env.hpp Env*(\"EXACLIM_…\") helper — must appear in "
+           "README.md, and every README knob-table row (| `EXACLIM_…`) "
+           "must name a knob src/ reads: no undocumented knob, no stale "
+           "row.")
+
+    READ_RE = re.compile(
+        r'\b(?:getenv|Env[A-Z]\w*)\s*\(\s*"(EXACLIM_[A-Z0-9_]+)"')
+    ROW_RE = re.compile(r"^\|\s*`(EXACLIM_[A-Z0-9_]+)`")
+    MENTION_RE = re.compile(r"\bEXACLIM_[A-Z0-9_]*[A-Z0-9]")
+
+    def check_repo(self, linter: Linter) -> None:
+        readme = linter.root / "README.md"
+        readme_lines = (readme.read_text(encoding="utf-8").splitlines()
+                        if readme.is_file() else [])
+        mentioned = {m.group(0) for line in readme_lines
+                     for m in self.MENTION_RE.finditer(line)}
+        read: set[str] = set()
+        for path in iter_files([], linter.root, dirs=["src"]):
+            rel = path.relative_to(linter.root)
+            raw_lines = path.read_text(encoding="utf-8").splitlines()
+            for lineno, raw in enumerate(raw_lines, 1):
+                for m in self.READ_RE.finditer(
+                        strip_comments_keep_strings(raw)):
+                    name = m.group(1)
+                    read.add(name)
+                    if name not in mentioned and not suppressed(raw, self.id):
+                        linter.report(rel, lineno, self.id,
+                                      f"{name} is read here but README.md "
+                                      "never mentions it; document the knob")
+        for lineno, line in enumerate(readme_lines, 1):
+            m = self.ROW_RE.match(line)
+            if m and m.group(1) not in read:
+                linter.report(Path("README.md"), lineno, self.id,
+                              f"README knob row {m.group(1)} names a knob "
+                              "src/ never reads; delete the stale row")
+
+
 RULES: list[Rule] = [
     PragmaOnceRule(),
     EndlRule(),
@@ -502,6 +559,10 @@ RULES: list[Rule] = [
     HotPathVectorRule(),
     EnvPrefixRule(),
     AllocGuardIncludeRule(),
+]
+
+REPO_RULES: list[RepoRule] = [
+    KnobDocRule(),
 ]
 
 
@@ -518,11 +579,12 @@ def load_hot_manifest(path: Path) -> set[str]:
     return entries
 
 
-def iter_files(paths: list[str], root: Path = REPO_ROOT) -> list[Path]:
+def iter_files(paths: list[str], root: Path = REPO_ROOT,
+               dirs: list[str] | None = None) -> list[Path]:
     if paths:
         roots = [Path(p).resolve() for p in paths]
     else:
-        roots = [root / d for d in SRC_DIRS]
+        roots = [root / d for d in (SRC_DIRS if dirs is None else dirs)]
     files: list[Path] = []
     for r in roots:
         if r.is_file():
@@ -545,7 +607,7 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.list_rules:
-        for rule in RULES:
+        for rule in [*RULES, *REPO_RULES]:
             print(f"{rule.id}:")
             for line in rule.doc.split("\n"):
                 print(f"    {line}")
@@ -555,6 +617,7 @@ def main() -> int:
     files = iter_files(args.paths)
     for path in files:
         linter.lint_file(path)
+    linter.lint_repo()
 
     if linter.findings:
         for finding in linter.findings:
@@ -563,7 +626,7 @@ def main() -> int:
               f"{len(files)} files", file=sys.stderr)
         return 1
     print(f"tools/lint.py: OK ({len(files)} files clean, "
-          f"{len(RULES)} rules)")
+          f"{len(RULES) + len(REPO_RULES)} rules)")
     return 0
 
 

@@ -34,15 +34,29 @@ def run_lint(files: dict[str, str],
         return linter.findings
 
 
+def run_repo_lint(files: dict[str, str]) -> list[str]:
+    """Writes `files` into a temp tree and runs the repo rules over it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, contents in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(contents, encoding="utf-8")
+        linter = lint.Linter(root=root, hot_manifest=set())
+        linter.lint_repo()
+        return linter.findings
+
+
 def rules_fired(findings: list[str]) -> set[str]:
     return {f.split("[", 1)[1].split("]", 1)[0] for f in findings}
 
 
 class RegistryTest(unittest.TestCase):
     def test_every_rule_has_id_and_doc(self):
-        ids = [r.id for r in lint.RULES]
+        rules = [*lint.RULES, *lint.REPO_RULES]
+        ids = [r.id for r in rules]
         self.assertEqual(len(ids), len(set(ids)), "duplicate rule ids")
-        for rule in lint.RULES:
+        for rule in rules:
             self.assertTrue(rule.id, f"{type(rule).__name__} missing id")
             self.assertTrue(rule.doc, f"{rule.id} missing doc")
 
@@ -53,6 +67,7 @@ class RegistryTest(unittest.TestCase):
              "unbounded-recv", "include-path", "guarded-include",
              "hot-path-alloc", "hot-path-vector", "env-prefix",
              "alloc-guard-include"})
+        self.assertEqual({r.id for r in lint.REPO_RULES}, {"knob-doc"})
 
 
 class PragmaOnceTest(unittest.TestCase):
@@ -338,6 +353,69 @@ class AllocGuardIncludeTest(unittest.TestCase):
         f = run_lint({"src/common/alloc_tracker.cpp":
                       "void f() { EXACLIM_ALLOC_SITE(s, \"x\"); }\n"})
         self.assertNotIn("alloc-guard-include", rules_fired(f))
+
+
+class KnobDocTest(unittest.TestCase):
+    README = ("# r\n\n| variable | default | effect |\n|---|---|---|\n"
+              "| `EXACLIM_A` | on | a |\n\nAlso `EXACLIM_B` in prose.\n")
+
+    def test_documented_knobs_clean(self):
+        f = run_repo_lint({
+            "README.md": self.README,
+            "src/a.cpp": 'auto a = std::getenv("EXACLIM_A");\n'
+                         'bool b = EnvFlag("EXACLIM_B", true);\n'})
+        self.assertEqual(f, [])
+
+    def test_undocumented_getenv_fires(self):
+        f = run_repo_lint({
+            "README.md": self.README,
+            "src/a.cpp": 'auto a = std::getenv("EXACLIM_A");\n'
+                         'auto b = std::getenv("EXACLIM_B");\n'
+                         'auto c = std::getenv("EXACLIM_C");\n'})
+        self.assertEqual(rules_fired(f), {"knob-doc"})
+        self.assertEqual(len(f), 1)
+        self.assertIn("src/a.cpp:3", f[0])
+        self.assertIn("EXACLIM_C", f[0])
+
+    def test_undocumented_env_helper_fires(self):
+        f = run_repo_lint({
+            "README.md": self.README,
+            "src/a.cpp": 'auto a = std::getenv("EXACLIM_A");\n'
+                         'auto b = EnvNonNegativeInt("EXACLIM_SIZE");\n'})
+        self.assertEqual(len(f), 1)
+        self.assertIn("EXACLIM_SIZE", f[0])
+
+    def test_stale_readme_row_fires(self):
+        f = run_repo_lint({
+            "README.md": self.README + "| `EXACLIM_GONE` | x | y |\n",
+            "src/a.cpp": 'auto a = std::getenv("EXACLIM_A");\n'})
+        self.assertEqual(len(f), 1)
+        self.assertIn("README.md:8", f[0])
+        self.assertIn("EXACLIM_GONE", f[0])
+
+    def test_prose_mention_is_not_a_row(self):
+        # EXACLIM_B is only mentioned in prose: no row, so no finding
+        # even though nothing reads it.
+        f = run_repo_lint({
+            "README.md": self.README,
+            "src/a.cpp": 'auto a = std::getenv("EXACLIM_A");\n'})
+        self.assertEqual(f, [])
+
+    def test_comment_and_non_src_ignored(self):
+        f = run_repo_lint({
+            "README.md": self.README,
+            "src/a.cpp": 'auto a = std::getenv("EXACLIM_A");\n'
+                         '// std::getenv("EXACLIM_C") in a comment\n',
+            "tests/t.cpp": 'auto c = std::getenv("EXACLIM_C");\n'})
+        self.assertEqual(f, [])
+
+    def test_suppressed(self):
+        f = run_repo_lint({
+            "README.md": self.README,
+            "src/a.cpp": 'auto a = std::getenv("EXACLIM_A");\n'
+                         'auto c = std::getenv("EXACLIM_C");'
+                         '  // lint:allow(knob-doc)\n'})
+        self.assertEqual(f, [])
 
 
 class HelperTest(unittest.TestCase):
