@@ -242,7 +242,7 @@ int Main() {
         ExchangerOptions eo;
         eo.transport = ReduceTransport::kMpiRing;
         eo.fusion_threshold_bytes = threshold;
-        GradientExchanger exchanger(eo, 4);
+        GradientExchanger exchanger(eo);
         exchanger.Exchange(comm, params);
         if (comm.rank() == 0) {
           buffers = exchanger.last_fused_buffers();

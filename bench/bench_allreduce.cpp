@@ -113,9 +113,8 @@ int Main() {
         param.grad.Fill(static_cast<float>(comm.rank() + 1) * 0.25f);
         ExchangerOptions opts;
         opts.transport = ReduceTransport::kMpiRing;
-        opts.shuffle_ready_order = false;
         opts.wire_precision = wire;
-        GradientExchanger exchanger(opts, 7);
+        GradientExchanger exchanger(opts);
         std::vector<Param*> params{&param};
         exchanger.Exchange(comm, params);
       });

@@ -1,6 +1,7 @@
 // Overlapped gradient exchange (DESIGN §14): executed step-time of the
-// serialized compute-then-comm exchanger vs the as-ready bucketed
-// overlap, wire bytes of the packed-FP16 format vs FP32, a zero-alloc
+// exchange engine's two release policies — serialized (buckets released
+// at WaitAll, compute-then-comm) vs as-ready bucketed overlap — wire
+// bytes of the packed-FP16 format vs FP32, a zero-alloc
 // census of the steady-state exchange phase, and the netsim model's
 // predicted serialized/overlapped ratio as a cross-check.
 //
@@ -40,7 +41,6 @@ TrainerOptions BenchTrainer(bool overlap) {
   o.tiramisu = Tiramisu::Config::Downscaled(4);
   o.learning_rate = 2e-3f;
   o.exchanger.transport = ReduceTransport::kMpiRing;
-  o.exchanger.shuffle_ready_order = false;
   o.exchanger.overlap = overlap;
   // A few buckets per step so early buckets close (and reduce) while
   // backward is still producing the later ones. The downscaled Tiramisu
@@ -112,9 +112,8 @@ std::int64_t ExchangeWireBytes(Precision wire, std::int64_t elems) {
     param.grad.Fill(static_cast<float>(comm.rank() + 1) * 0.25f);
     ExchangerOptions opts;
     opts.transport = ReduceTransport::kMpiRing;
-    opts.shuffle_ready_order = false;
     opts.wire_precision = wire;
-    GradientExchanger exchanger(opts, 5);
+    GradientExchanger exchanger(opts);
     std::vector<Param*> params{&param};
     exchanger.Exchange(comm, params);
   });
@@ -147,12 +146,11 @@ ExchangeAllocs CensusRun(int reps) {
       }
       ExchangerOptions opts;
       opts.transport = ReduceTransport::kMpiRing;
-      opts.shuffle_ready_order = false;
       opts.wire_precision = Precision::kFP16;
       opts.fusion_threshold_bytes = 16 << 10;  // a few tensors per bucket
-      GradientExchanger exchanger(opts, 5);
+      GradientExchanger exchanger(opts);
       for (int s = 0; s < reps; ++s) {
-        exchanger.BeginStep(comm, params, nullptr, Deadline(kNoTimeout));
+        exchanger.BeginStep(comm, params, nullptr, kNoTimeout);
         for (int i = 0; i < static_cast<int>(params.size()); ++i) {
           exchanger.NotifyGradReady(i);
         }

@@ -48,7 +48,9 @@ struct RankKilledError : Error {
 
 struct ElasticOptions {
   bool enabled = false;
-  /// Deadline for one bounded collective on the exchange path.
+  /// Deadline for one bounded collective on the exchange path: each
+  /// fused bucket's negotiation + reduce, started at the bucket's
+  /// release (never during backward).
   double collective_timeout_s = 5.0;
   /// Deadline per survivor-consensus attempt.
   double rebuild_timeout_s = 10.0;

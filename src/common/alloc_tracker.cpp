@@ -6,6 +6,7 @@
 #include <cstring>
 #include <new>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 
@@ -65,14 +66,10 @@ thread_local ScopedAllocCheck* t_region_head = nullptr;
 thread_local int t_assert_depth = 0;
 
 int InitModeFromEnv() {
-  int mode = kModeOff;
-  if (const char* env = std::getenv("EXACLIM_ALLOC_TRACK")) {
-    if (std::strcmp(env, "strict") == 0) {
-      mode = kModeStrict;
-    } else if (*env != '\0' && std::strcmp(env, "0") != 0) {
-      mode = kModeOn;
-    }
-  }
+  // A boolean knob (EnvFlag's off spellings) plus "strict".
+  const char* env = std::getenv("EXACLIM_ALLOC_TRACK");
+  int mode = EnvFlag("EXACLIM_ALLOC_TRACK", false) ? kModeOn : kModeOff;
+  if (env != nullptr && std::strcmp(env, "strict") == 0) mode = kModeStrict;
   int expected = kModeUninit;
   g_mode.compare_exchange_strong(expected, mode, std::memory_order_relaxed);
   return g_mode.load(std::memory_order_relaxed);

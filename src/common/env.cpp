@@ -45,6 +45,15 @@ std::optional<std::int64_t> EnvNonNegativeInt(const char* name) {
   return value;
 }
 
+std::optional<std::int64_t> EnvIntInRange(const char* name, std::int64_t lo,
+                                          std::int64_t hi) {
+  const std::optional<std::int64_t> value = EnvNonNegativeInt(name);
+  EXACLIM_CHECK(!value || (*value >= lo && *value <= hi),
+                name << "=" << *value << ": expected a whole number in ["
+                     << lo << ", " << hi << "]");
+  return value;
+}
+
 std::optional<double> EnvNonNegativeNumber(const char* name) {
   const char* env = std::getenv(name);
   if (env == nullptr) return std::nullopt;

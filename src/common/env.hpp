@@ -18,6 +18,12 @@ bool EnvFlag(const char* name, bool fallback);
 /// EXACLIM_CHECK that names the knob.
 std::optional<std::int64_t> EnvNonNegativeInt(const char* name);
 
+/// A whole-number knob that must lie in [lo, hi]; nullopt when unset.
+/// Parsed as EnvNonNegativeInt; a value outside the range fails an
+/// EXACLIM_CHECK that names the knob and the range.
+std::optional<std::int64_t> EnvIntInRange(const char* name, std::int64_t lo,
+                                          std::int64_t hi);
+
 /// A non-negative decimal-number knob (e.g. "2.5"); nullopt when unset.
 /// Trailing characters, a sign, "inf"/"nan" and "" fail an
 /// EXACLIM_CHECK that names the knob.

@@ -187,16 +187,8 @@ void SetPoolEnabled(bool enabled) {
 }
 
 std::int32_t PoolBucketCount() {
-  static const std::int32_t count = [] {
-    if (const char* env = std::getenv("EXACLIM_POOL_BUCKETS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v >= 1 && v <= kMaxBuckets) {
-        return static_cast<std::int32_t>(v);
-      }
-    }
-    return std::int32_t{26};
-  }();
+  static const std::int32_t count = static_cast<std::int32_t>(
+      EnvIntInRange("EXACLIM_POOL_BUCKETS", 1, kMaxBuckets).value_or(26));
   return count;
 }
 

@@ -1,8 +1,8 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/sync.hpp"
 #include "common/workspace.hpp"
@@ -178,16 +178,9 @@ void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
 bool ThreadPool::InParallelRegion() { return tls_parallel_depth > 0; }
 
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("EXACLIM_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v > 0) {
-        return static_cast<std::size_t>(v);
-      }
-    }
-    return std::size_t{0};  // hardware_concurrency
-  }());
+  // 0 (or unset) keeps hardware_concurrency.
+  static ThreadPool pool(static_cast<std::size_t>(
+      EnvNonNegativeInt("EXACLIM_THREADS").value_or(0)));
   return pool;
 }
 

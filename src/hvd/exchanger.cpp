@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,12 +39,10 @@ ExchangerOptions ExchangerOptions::FromEnv(ExchangerOptions base) {
   return base;
 }
 
-GradientExchanger::GradientExchanger(const ExchangerOptions& opts,
-                                     std::uint64_t seed)
+GradientExchanger::GradientExchanger(const ExchangerOptions& opts)
     : opts_(opts),
       control_(MakeControlPlane(opts.hierarchical_control,
-                                opts.control_radix)),
-      rng_(seed) {}
+                                opts.control_radix)) {}
 
 GradientExchanger::~GradientExchanger() {
   if (thread_started_) {
@@ -80,8 +77,8 @@ void GradientExchanger::MaybeChaosKill(Communicator& comm) {
   // Chaos site "elastic.exchange.kill.<rank>": this rank dies right
   // after an order was agreed, so its peers starve *inside* the
   // allreduce rounds — the mid-collective failure mode of DESIGN §13.
-  // Checked exactly once per step in both the serialized and the
-  // overlapped path, so schedules count occurrences identically.
+  // Checked exactly once per step, on the exchange thread; WaitAll
+  // rethrows the RankKilledError on the trainer thread.
   FaultInjector& injector = FaultInjector::Global();
   if (injector.ArmedSiteCount() > 0 &&
       injector.ShouldInject("elastic.exchange.kill." +
@@ -93,12 +90,12 @@ void GradientExchanger::MaybeChaosKill(Communicator& comm) {
 }
 
 void GradientExchanger::Exchange(Communicator& comm,
-                                 const std::vector<Param*>& params,
-                                 std::span<const int> ready_order) {
-  // The blocking path is the elastic path at generation 0 over the full
-  // world with no deadline — one implementation, identical messages.
-  const CollectiveResult result = TryExchange(
-      comm, params, Identity(comm), Deadline(kNoTimeout), ready_order);
+                                 const std::vector<Param*>& params) {
+  BeginStep(comm, params, /*elastic=*/nullptr, kNoTimeout);
+  for (int i = 0; i < static_cast<int>(params.size()); ++i) {
+    NotifyGradReady(i);
+  }
+  const CollectiveResult result = WaitAll();
   EXACLIM_CHECK(result.ok(),
                 "rank " << comm.rank()
                         << ": blocking Exchange cannot complete: rank "
@@ -118,9 +115,8 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   }
   if (elems == 0) return {};  // identical on every rank: shapes agree
 
-  // Pooled fusion buffer (per thread): the serialized path packs on the
-  // trainer thread, the overlapped path on the exchange thread — each
-  // gets its own slot, and buckets on one thread run strictly in order.
+  // Pooled fusion buffer (per thread): every bucket packs on the
+  // exchange thread, strictly in order.
   std::span<float> fusion(
       AcquireScratch(ScratchSlot::kExchangeFusion,
                      static_cast<std::size_t>(elems)),
@@ -178,92 +174,7 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   return {};
 }
 
-CollectiveResult GradientExchanger::TryExchange(
-    Communicator& comm, const std::vector<Param*>& params,
-    ElasticWorld& elastic, const Deadline& deadline,
-    std::span<const int> ready_order) {
-  EXACLIM_REENTRANCY_SCOPE(reentrancy_);
-  const ElasticView& view = elastic.view();
-  EXACLIM_CHECK(view.my_index >= 0,
-                "rank " << comm.rank()
-                        << " exchanging outside its elastic view");
-  const auto n = static_cast<int>(params.size());
-  last_tensors_ = n;
-  last_fused_buffers_ = 0;
-  if (n == 0) return {};
-
-  // Local readiness order: either the backward emission order handed in
-  // by the trainer (so serialized steps fuse the exact buckets the
-  // overlapped path forms) or the index order. TensorFlow's dynamic
-  // scheduler finishes backprop ops in a timing-dependent order,
-  // different per rank — emulated by the optional shuffle, keyed by
-  // (world rank, step); the step counter only advances on success, so a
-  // post-rebuild retry replays the same shuffle.
-  if (ready_order.empty()) {
-    ready_.assign(static_cast<std::size_t>(n), 0);
-    std::iota(ready_.begin(), ready_.end(), 0);
-  } else {
-    EXACLIM_CHECK(static_cast<int>(ready_order.size()) == n,
-                  "ready_order covers " << ready_order.size() << " of " << n
-                                        << " tensors");
-    ready_.assign(ready_order.begin(), ready_order.end());
-  }
-  if (opts_.shuffle_ready_order) {
-    Rng step_rng = rng_.Fork(
-        static_cast<std::uint64_t>(comm.rank()) * 1000003u +
-        static_cast<std::uint64_t>(step_));
-    std::shuffle(ready_.begin(), ready_.end(), step_rng.engine());
-  }
-
-  const RankGroup group(view.members, comm.rank());
-  {
-    CollectiveResult r = control_->TryNegotiateOrder(
-        comm, group, ready_, deadline, elastic.GenTag(0), &order_);
-    if (!r.ok()) return r;
-  }
-  EXACLIM_CHECK(static_cast<int>(order_.size()) == n,
-                "negotiated order has wrong tensor count");
-
-  MaybeChaosKill(comm);
-
-  const int bpe = BytesPerElement(opts_.wire_precision);
-
-  EXACLIM_TRACE_SPAN("exchange.allreduce", "hvd");
-  std::int64_t total_bytes = 0;
-  std::size_t pos = 0;
-  int buffer_index = 0;
-  while (pos < order_.size()) {
-    // Greedy fusion: take consecutive tensors from the agreed order until
-    // the byte threshold is reached (always at least one).
-    std::size_t end = pos;
-    std::int64_t bytes = 0;
-    while (end < order_.size()) {
-      const std::int64_t t_bytes =
-          params[static_cast<std::size_t>(order_[end])]->grad.NumElements() *
-          bpe;
-      if (end > pos && bytes + t_bytes > opts_.fusion_threshold_bytes) break;
-      bytes += t_bytes;
-      ++end;
-    }
-
-    CollectiveResult r = ReduceFusedBucket(
-        comm, params, elastic, group,
-        std::span<const int>(order_.data() + pos, end - pos), buffer_index,
-        deadline);
-    if (!r.ok()) return r;
-
-    total_bytes += bytes;
-    pos = end;
-    ++buffer_index;
-  }
-  last_fused_buffers_ = buffer_index;
-  if (auto* c = obs::CounterOrNull("exchange.bytes")) c->Add(total_bytes);
-  if (auto* c = obs::CounterOrNull("exchange.buffers")) c->Add(buffer_index);
-  ++step_;
-  return {};
-}
-
-// ---- overlapped exchange ---------------------------------------------------
+// ---- bucket engine ---------------------------------------------------------
 
 void GradientExchanger::StartExchangeThread() {
   if (thread_started_) return;
@@ -273,8 +184,8 @@ void GradientExchanger::StartExchangeThread() {
 
 void GradientExchanger::BeginStep(Communicator& comm,
                                   const std::vector<Param*>& params,
-                                  ElasticWorld* elastic,
-                                  const Deadline& deadline) {
+                                  ElasticWorld* elastic, double timeout_s) {
+  EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(!step_open_, "BeginStep while a step is already open");
   ElasticWorld& world = elastic != nullptr ? *elastic : Identity(comm);
   EXACLIM_CHECK(world.view().my_index >= 0,
@@ -283,11 +194,11 @@ void GradientExchanger::BeginStep(Communicator& comm,
   StartExchangeThread();
   {
     MutexLock lock(mu_);
-    EXACLIM_CHECK(!step_active_, "previous overlapped step still draining");
-    ol_comm_ = &comm;
-    ol_params_ = &params;
-    ol_elastic_ = &world;
-    ol_deadline_ = deadline;
+    EXACLIM_CHECK(!step_active_, "previous exchange step still draining");
+    comm_ = &comm;
+    params_ = &params;
+    elastic_ = &world;
+    timeout_s_ = timeout_s;
     sched_order_.assign(params.size(), -1);
     sched_count_ = 0;
     buckets_.assign(params.size(), Bucket{});  // never more buckets than tensors
@@ -296,11 +207,11 @@ void GradientExchanger::BeginStep(Communicator& comm,
     pend_bytes_ = 0;
     pend_elems_ = 0;
     emit_done_ = false;
-    ol_failed_ = false;
-    ol_result_ = {};
-    ol_exception_ = nullptr;
-    ol_bytes_ = 0;
-    ol_buffers_ = 0;
+    failed_ = false;
+    result_ = {};
+    exception_ = nullptr;
+    step_bytes_ = 0;
+    step_buffers_ = 0;
     step_active_ = true;
   }
   cv_.NotifyAll();
@@ -320,18 +231,18 @@ void GradientExchanger::CloseBucketLocked() {
 }
 
 void GradientExchanger::NotifyGradReady(int param_index) {
+  EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(step_open_, "NotifyGradReady outside BeginStep/WaitAll");
   const std::int64_t t_elems =
-      (*ol_params_)[static_cast<std::size_t>(param_index)]
-          ->grad.NumElements();
+      (*params_)[static_cast<std::size_t>(param_index)]->grad.NumElements();
   const std::int64_t t_bytes =
       t_elems * BytesPerElement(opts_.wire_precision);
   bool closed = false;
   {
     MutexLock lock(mu_);
-    // Same greedy rule as the serialized fusion loop: a bucket always
-    // takes at least one tensor, and closes when the next would push it
-    // past the threshold — identical bucket composition by construction.
+    // Greedy fusion, the one close rule: a bucket always takes at least
+    // one tensor, and closes when the next would push it past the
+    // threshold.
     if (sched_count_ > pend_begin_ &&
         pend_bytes_ + t_bytes > opts_.fusion_threshold_bytes) {
       CloseBucketLocked();
@@ -342,11 +253,15 @@ void GradientExchanger::NotifyGradReady(int param_index) {
     pend_bytes_ += t_bytes;
     pend_elems_ += t_elems;
   }
-  if (closed) cv_.NotifyAll();
+  // Only the overlap policy lets the exchange thread take a bucket
+  // before WaitAll; otherwise there is nobody to wake.
+  if (closed && opts_.overlap) cv_.NotifyAll();
 }
 
 CollectiveResult GradientExchanger::WaitAll() {
+  EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(step_open_, "WaitAll without BeginStep");
+  EXACLIM_TRACE_SPAN("exchange.allreduce", "hvd");
   {
     MutexLock lock(mu_);
     if (sched_count_ > pend_begin_) CloseBucketLocked();
@@ -361,17 +276,15 @@ CollectiveResult GradientExchanger::WaitAll() {
   // write to the result fields; observing the clear under mu_ orders
   // every read below after those writes.
   step_open_ = false;
-  last_tensors_ = sched_count_;
-  last_fused_buffers_ = ol_buffers_;
-  if (ol_exception_ != nullptr) {
-    const std::exception_ptr e = ol_exception_;
-    ol_exception_ = nullptr;
+  last_fused_buffers_ = step_buffers_;
+  if (exception_ != nullptr) {
+    const std::exception_ptr e = exception_;
+    exception_ = nullptr;
     std::rethrow_exception(e);
   }
-  if (!ol_result_.ok()) return ol_result_;
-  if (auto* c = obs::CounterOrNull("exchange.bytes")) c->Add(ol_bytes_);
-  if (auto* c = obs::CounterOrNull("exchange.buffers")) c->Add(ol_buffers_);
-  ++step_;
+  if (!result_.ok()) return result_;
+  if (auto* c = obs::CounterOrNull("exchange.bytes")) c->Add(step_bytes_);
+  if (auto* c = obs::CounterOrNull("exchange.buffers")) c->Add(step_buffers_);
   return {};
 }
 
@@ -382,7 +295,7 @@ void GradientExchanger::ExchangeThreadMain() {
       while (!shutdown_ && !step_active_) cv_.Wait(lock);
       if (shutdown_) return;
     }
-    RunOverlapStep();
+    RunStep();
     {
       MutexLock lock(mu_);
       step_active_ = false;
@@ -391,9 +304,9 @@ void GradientExchanger::ExchangeThreadMain() {
   }
 }
 
-void GradientExchanger::RunOverlapStep() {
-  Communicator& comm = *ol_comm_;
-  ElasticWorld& elastic = *ol_elastic_;
+void GradientExchanger::RunStep() {
+  Communicator& comm = *comm_;
+  ElasticWorld& elastic = *elastic_;
   const ElasticView& view = elastic.view();
   const RankGroup group(view.members, comm.rank());
   int next_bucket = 0;
@@ -402,16 +315,24 @@ void GradientExchanger::RunOverlapStep() {
     Bucket b;
     {
       MutexLock lock(mu_);
-      while (buckets_closed_ <= next_bucket && !emit_done_) cv_.Wait(lock);
-      if (next_bucket >= buckets_closed_) break;  // drained & emission done
+      // The release policy: under overlap a bucket is taken as soon as
+      // it closes, otherwise only once WaitAll ended the emission. A
+      // shutdown (step abandoned by an exception) ends the step too.
+      while (!emit_done_ && !shutdown_ &&
+             (!opts_.overlap || buckets_closed_ <= next_bucket)) {
+        cv_.Wait(lock);
+      }
+      if (shutdown_ || next_bucket >= buckets_closed_) break;
       b = buckets_[static_cast<std::size_t>(next_bucket)];
     }
     // After the first failure the step is doomed: drain the remaining
     // buckets without touching the communicator so WaitAll can return
     // the first result and the trainer can roll the step back.
-    if (!ol_failed_) {
+    if (!failed_) {
       try {
         EXACLIM_TRACE_SPAN("exchange.bucket", "hvd");
+        // The bucket's collective budget starts now, at its release.
+        const Deadline deadline(timeout_s_);
         // Entries [b.begin, b.end) were written under mu_ before the
         // bucket close we just observed under mu_ — safe to read.
         const std::span<const int> ids(
@@ -422,27 +343,27 @@ void GradientExchanger::RunOverlapStep() {
         // every peer orders its buckets identically (see
         // hvd/control_plane.hpp).
         CollectiveResult r = control_->TryNegotiateOrder(
-            comm, group, ids, ol_deadline_, elastic.GenTag(0), &ol_order_);
+            comm, group, ids, deadline, elastic.GenTag(0), &order_);
         if (r.ok()) {
-          EXACLIM_CHECK(ol_order_.size() == ids.size(),
+          EXACLIM_CHECK(order_.size() == ids.size(),
                         "negotiated bucket order has wrong tensor count");
           if (!chaos_checked) {
             chaos_checked = true;
             MaybeChaosKill(comm);
           }
-          r = ReduceFusedBucket(comm, *ol_params_, elastic, group, ol_order_,
-                                next_bucket, ol_deadline_);
+          r = ReduceFusedBucket(comm, *params_, elastic, group, order_,
+                                next_bucket, deadline);
         }
         if (!r.ok()) {
-          ol_result_ = r;
-          ol_failed_ = true;
+          result_ = r;
+          failed_ = true;
         } else {
-          ol_bytes_ += b.bytes;
-          ++ol_buffers_;
+          step_bytes_ += b.bytes;
+          ++step_buffers_;
         }
       } catch (...) {
-        ol_exception_ = std::current_exception();
-        ol_failed_ = true;
+        exception_ = std::current_exception();
+        failed_ = true;
       }
     }
     ++next_bucket;
@@ -461,17 +382,13 @@ void GradReadyRecorder::Bind(const std::vector<Param*>& params) {
     index_of_.emplace(params[i], static_cast<int>(i));
   }
   seen_.assign(params.size(), 0);
-  order_.assign(params.size(), -1);
-  count_ = 0;
   sink_ = nullptr;
 }
 
-void GradReadyRecorder::BeginStep(GradientExchanger* sink) {
+void GradReadyRecorder::BeginStep(GradientExchanger& sink) {
   EXACLIM_CHECK(params_ != nullptr, "GradReadyRecorder used before Bind");
   seen_.assign(params_->size(), 0);
-  order_.assign(params_->size(), -1);
-  count_ = 0;
-  sink_ = sink;
+  sink_ = &sink;
 }
 
 void GradReadyRecorder::OnGradsReady(Layer& layer) {
@@ -504,9 +421,7 @@ void GradReadyRecorder::FlushRemaining() {
 void GradReadyRecorder::Emit(int param_index) {
   if (seen_[static_cast<std::size_t>(param_index)] != 0) return;
   seen_[static_cast<std::size_t>(param_index)] = 1;
-  order_[count_] = param_index;
-  ++count_;
-  if (sink_ != nullptr) sink_->NotifyGradReady(param_index);
+  sink_->NotifyGradReady(param_index);
 }
 
 }  // namespace exaclim

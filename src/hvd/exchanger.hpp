@@ -10,7 +10,6 @@
 
 #include "comm/elastic.hpp"
 #include "comm/world.hpp"
-#include "common/rng.hpp"
 #include "common/sync.hpp"
 #include "hvd/control_plane.hpp"
 #include "hvd/hybrid.hpp"
@@ -64,11 +63,11 @@ inline int BucketTag(int bucket_index) {
 }
 
 /// Data-parallel gradient aggregation in the style of Horovod (Sec V-A3):
-/// negotiate a global tensor order through the control plane (emulating
-/// TensorFlow's nondeterministic per-rank scheduling by shuffling the
-/// local readiness order), fuse consecutive tensors into buffers up to a
-/// byte threshold (Horovod's tensor fusion, which gradient lag improves),
-/// and run one all-reduce per fused buffer, averaging across ranks.
+/// tensors are announced as their gradients become final, consecutive
+/// tensors fuse into buffers up to a byte threshold (Horovod's tensor
+/// fusion, which gradient lag improves), the control plane agrees on
+/// each buffer's tensor order, and one all-reduce per fused buffer
+/// averages across ranks.
 struct ExchangerOptions {
   bool hierarchical_control = true;
   int control_radix = 4;
@@ -82,14 +81,12 @@ struct ExchangerOptions {
   /// (Tensor Core FMA / NCCL fp32-accumulation style).
   Precision wire_precision = Precision::kFP32;
   bool average = true;
-  /// Emulate TensorFlow's dynamic scheduler: shuffle the local readiness
-  /// order per step (all ranks still converge on one global order).
-  /// Ignored by the overlapped path, whose readiness order *is* the
-  /// backward emission order.
-  bool shuffle_ready_order = true;
-  /// Overlap the exchange with backward compute: the trainer streams
-  /// grad-ready notifications during Backward and a dedicated exchange
-  /// thread reduces each fused bucket as soon as it closes (DESIGN §14).
+  /// Release policy of the exchange thread (DESIGN §14). On: each fused
+  /// bucket is negotiated and reduced as soon as it closes, overlapping
+  /// the exchange with the rest of backward. Off: closed buckets are
+  /// released only at WaitAll, so the whole exchange runs after
+  /// backward. Bucket composition and reduce order do not depend on it,
+  /// so both policies are bit-identical.
   bool overlap = false;
 
   /// EXACLIM_OVERLAP (a boolean knob, common/env.hpp),
@@ -99,59 +96,45 @@ struct ExchangerOptions {
   static ExchangerOptions FromEnv(ExchangerOptions base);
 };
 
+/// The bucket engine (DESIGN §14). BeginStep arms a step; NotifyGradReady
+/// (from the backward pass, via GradReadyRecorder) appends a tensor to
+/// the emission order and greedily closes fusion buckets; a persistent
+/// exchange thread negotiates and reduces each released bucket in order;
+/// WaitAll closes the final bucket, releases everything, blocks until
+/// the exchange thread drained the step and returns the first failure
+/// (kOk when every bucket reduced). One exchanger per rank.
 class GradientExchanger {
  public:
-  GradientExchanger(const ExchangerOptions& opts, std::uint64_t seed);
+  explicit GradientExchanger(const ExchangerOptions& opts);
   ~GradientExchanger();
 
-  /// Collective: every rank calls with its (identically shaped) params.
-  /// On return, each param's grad holds the rank-averaged gradient,
-  /// bit-identical on every rank. A non-empty `ready_order` replaces the
-  /// iota local readiness order (the trainer passes the backward
-  /// emission order so the serialized path fuses the exact buckets the
-  /// overlapped path does).
-  void Exchange(Communicator& comm, const std::vector<Param*>& params,
-                std::span<const int> ready_order = {});
+  /// Blocking one-shot exchange: every rank calls with its (identically
+  /// shaped) params, announced in index order over the full world. On
+  /// return each param's grad holds the rank-averaged gradient,
+  /// bit-identical on every rank; a dead or unresponsive peer throws.
+  void Exchange(Communicator& comm, const std::vector<Param*>& params);
 
-  /// Elastic variant: the same negotiation + fusion + allreduce, run
-  /// over the current view's members with generation-salted tags and a
-  /// bounded deadline. On failure the partial step must be discarded by
-  /// the caller (gradients may hold partially averaged data) and the
-  /// step counter is NOT advanced, so the retried step reproduces the
-  /// same readiness shuffle. At generation 0 over the full world this is
-  /// message-for-message identical to Exchange. After a shrink the
-  /// hybrid transport falls back to the group ring (survivors rarely
-  /// form whole nodes).
-  CollectiveResult TryExchange(Communicator& comm,
-                               const std::vector<Param*>& params,
-                               ElasticWorld& elastic,
-                               const Deadline& deadline,
-                               std::span<const int> ready_order = {});
-
-  /// ---- Overlapped exchange (DESIGN §14) -------------------------------
-  /// BeginStep arms a step: NotifyGradReady calls (from the backward
-  /// pass, via GradReadyRecorder) append tensors to the emission order
-  /// and greedily close fusion buckets; a persistent exchange thread
-  /// negotiates and reduces each closed bucket while the remaining
-  /// backward layers keep computing. WaitAll closes the final bucket,
-  /// blocks until the exchange thread drained the step, and returns the
-  /// first failure (kOk when every bucket reduced). `elastic == nullptr`
-  /// uses the lazily built identity view (blocking semantics: WaitAll
-  /// checks success). Bucket composition and reduce order are identical
-  /// to the serialized path fed the same readiness order, so
-  /// overlap-on/off is bit-identical.
+  /// Arms a step over `elastic`'s current view with generation-salted
+  /// tags; `elastic == nullptr` uses the lazily built generation-0 view
+  /// of the full world. Each bucket's negotiation and reduce share one
+  /// Deadline of `timeout_s` (kNoTimeout: unbounded), started when the
+  /// exchange thread takes the bucket — never before its release, so
+  /// backward time does not eat the budget. After a shrink the hybrid
+  /// transport falls back to the group ring (survivors rarely form
+  /// whole nodes).
   void BeginStep(Communicator& comm, const std::vector<Param*>& params,
-                 ElasticWorld* elastic, const Deadline& deadline);
+                 ElasticWorld* elastic, double timeout_s);
   /// Announces that `param_index`'s gradient is final for this step.
   /// Called on the trainer thread, between BeginStep and WaitAll.
   void NotifyGradReady(int param_index);
-  /// Barrier before optimizer.Step: rethrows a RankKilledError raised on
-  /// the exchange thread (chaos schedule) on the calling thread.
+  /// Barrier before optimizer.Step. On failure the gradients hold
+  /// partial data and the caller must discard the step. Rethrows a
+  /// RankKilledError raised on the exchange thread (chaos schedule) on
+  /// the calling thread.
   CollectiveResult WaitAll();
 
-  /// Fused buffers formed in the last Exchange (diagnostic).
+  /// Fused buffers reduced in the last step (diagnostic).
   std::int64_t last_fused_buffers() const { return last_fused_buffers_; }
-  std::int64_t last_negotiated_tensors() const { return last_tensors_; }
 
   const ExchangerOptions& options() const { return opts_; }
 
@@ -180,41 +163,32 @@ class GradientExchanger {
                                      int bucket_index,
                                      const Deadline& deadline);
 
-  /// Fires the "elastic.exchange.kill.<rank>" chaos site (at most once
-  /// per step, right after an order was agreed).
+  /// Fires the "elastic.exchange.kill.<rank>" chaos site (once per step,
+  /// right after the first bucket's order was agreed).
   void MaybeChaosKill(Communicator& comm);
 
   void StartExchangeThread();
   void ExchangeThreadMain();
   /// Runs one armed step on the exchange thread: negotiate + reduce each
-  /// closed bucket in order, latch the first failure, drain the rest.
-  void RunOverlapStep();
+  /// released bucket in order, latch the first failure, drain the rest.
+  void RunStep();
   void CloseBucketLocked();
 
   ExchangerOptions opts_;
   std::unique_ptr<ControlPlane> control_;
-  Rng rng_;
   std::int64_t last_fused_buffers_ = 0;
-  std::int64_t last_tensors_ = 0;
-  int step_ = 0;
-  // One exchanger per rank by design; Debug builds trap two threads
-  // calling Exchange on the same instance (which would corrupt rng_ and
-  // the step counter without any TSan-visible lock).
+  // Debug builds trap two threads entering the engine on the same
+  // instance at once (which would corrupt the step bookkeeping).
   ReentrancyGuard reentrancy_;
 
   // Non-elastic identity view (see Identity()).
   std::unique_ptr<ElasticWorld> identity_;
   Communicator* identity_comm_ = nullptr;
 
-  // Serialized-path reusable buffers (grow-only across steps).
-  std::vector<int> ready_;
-  std::vector<int> order_;
-
-  // ---- overlap engine state ----
   // Hand-off discipline: the trainer thread writes sched_order_ /
   // bucket bookkeeping under mu_ (NotifyGradReady); the exchange thread
-  // copies closed buckets out under mu_ and touches comm/grads only for
-  // tensors already announced, so the two threads never race on a
+  // copies released buckets out under mu_ and touches comm/grads only
+  // for tensors already announced, so the two threads never race on a
   // tensor. Result fields are written by the exchange thread before it
   // clears step_active_ under mu_ and read by WaitAll after observing
   // step_active_ == false — ordered by the mutex.
@@ -226,10 +200,10 @@ class GradientExchanger {
   bool step_active_ = false;     // guarded by mu_
   bool emit_done_ = false;       // guarded by mu_
   bool step_open_ = false;       // trainer thread only
-  Communicator* ol_comm_ = nullptr;
-  const std::vector<Param*>* ol_params_ = nullptr;
-  ElasticWorld* ol_elastic_ = nullptr;
-  Deadline ol_deadline_{kNoTimeout};
+  Communicator* comm_ = nullptr;
+  const std::vector<Param*>* params_ = nullptr;
+  ElasticWorld* elastic_ = nullptr;
+  double timeout_s_ = kNoTimeout;
   std::vector<int> sched_order_;  // emission order; writes guarded by mu_
   int sched_count_ = 0;           // guarded by mu_
   std::vector<Bucket> buckets_;   // closed buckets; guarded by mu_
@@ -237,37 +211,31 @@ class GradientExchanger {
   int pend_begin_ = 0;            // open bucket start; guarded by mu_
   std::int64_t pend_bytes_ = 0;   // guarded by mu_
   std::int64_t pend_elems_ = 0;   // guarded by mu_
-  std::vector<int> ol_order_;     // exchange thread's negotiation buffer
-  CollectiveResult ol_result_;    // first failure of the armed step
-  bool ol_failed_ = false;
-  std::exception_ptr ol_exception_;
-  std::int64_t ol_bytes_ = 0;
-  std::int64_t ol_buffers_ = 0;
+  std::vector<int> order_;        // exchange thread's negotiation buffer
+  CollectiveResult result_;       // first failure of the armed step
+  bool failed_ = false;
+  std::exception_ptr exception_;
+  std::int64_t step_bytes_ = 0;
+  std::int64_t step_buffers_ = 0;
 };
 
 /// Bridges Layer grad-ready hooks to the exchanger: the trainer installs
 /// it as the model's GradReadyListener for the backward pass. It maps
 /// each announcing layer to its param indices (cached after the first
-/// step — steady-state notifications do zero heap work), dedups, records
-/// the emission order, and forwards newly ready indices to the exchanger
-/// when one is armed. FlushRemaining emits params no hook announced
-/// (models without instrumented containers), so every param always
-/// exchanges exactly once per step.
+/// step — steady-state notifications do zero heap work), dedups, and
+/// forwards each newly ready index to the exchanger. FlushRemaining
+/// emits params no hook announced (models without instrumented
+/// containers), so every param always exchanges exactly once per step.
 class GradReadyRecorder : public GradReadyListener {
  public:
   /// Binds the flat param list the indices refer to (cheap when
   /// unchanged; rebinding clears the layer cache).
   void Bind(const std::vector<Param*>& params);
-  /// Starts a step. `sink` receives NotifyGradReady(index) per newly
-  /// ready param; nullptr records the order only (serialized path).
-  void BeginStep(GradientExchanger* sink);
+  /// Starts a step whose ready params go to `sink.NotifyGradReady`.
+  void BeginStep(GradientExchanger& sink);
   void OnGradsReady(Layer& layer) override;
   /// Emits every param not announced by a hook, in index order.
   void FlushRemaining();
-  /// Emission order of the current/last step.
-  std::span<const int> order() const {
-    return std::span<const int>(order_.data(), count_);
-  }
 
  private:
   void Emit(int param_index);
@@ -276,8 +244,6 @@ class GradReadyRecorder : public GradReadyListener {
   std::unordered_map<const Param*, int> index_of_;
   std::unordered_map<const Layer*, std::vector<int>> layer_indices_;
   std::vector<char> seen_;
-  std::vector<int> order_;
-  std::size_t count_ = 0;
   GradientExchanger* sink_ = nullptr;
 };
 

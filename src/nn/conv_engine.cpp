@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/alloc_tracker.hpp"
 #include "common/env.hpp"
@@ -24,16 +24,10 @@ std::atomic<bool>& FusionFlag() {
 }
 
 std::int64_t MaxShardsKnob() {
-  static const std::int64_t knob = [] {
-    if (const char* env = std::getenv("EXACLIM_CONV_SHARDS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v > 0) {
-        return static_cast<std::int64_t>(v);
-      }
-    }
-    return std::int64_t{16};
-  }();
+  static const std::int64_t knob =
+      EnvIntInRange("EXACLIM_CONV_SHARDS", 1,
+                    std::numeric_limits<std::int64_t>::max())
+          .value_or(16);
   return knob;
 }
 

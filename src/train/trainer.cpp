@@ -61,11 +61,9 @@ RankTrainer::RankTrainer(const TrainerOptions& opts,
   }
   optimizer_ = std::move(base);
 
-  exchanger_ = std::make_unique<GradientExchanger>(
-      opts_.exchanger, opts_.seed ^ 0xe8c4ull);
+  exchanger_ = std::make_unique<GradientExchanger>(opts_.exchanger);
   recorder_.Bind(params_);
-  // Per-rank construction differences live only in the exchanger's
-  // shuffle stream, which is seeded by the communicator rank at use.
+  // Construction is identical on every rank.
   (void)rank;
 }
 
@@ -117,24 +115,20 @@ RankTrainer::StepResult RankTrainer::StepImpl(
     loss = WeightedSoftmaxCrossEntropy(logits, batch.labels, loss_opts);
     result.loss_scale = loss_opts.loss_scale;
   }
-  const bool overlap = opts_.exchanger.overlap && comm != nullptr;
   {
     obs::ScopedTimer timer("step.backward", "train",
                            &result.timings.backward_seconds,
                            obs::HistogramOrNull("step.backward_s"));
     EXACLIM_ALLOC_CENSUS("step.backward");
     if (comm != nullptr) {
-      // Record the grad-ready emission order (and, in overlap mode,
-      // stream it straight into the exchanger so fused buckets reduce on
-      // the exchange thread while the rest of backward still computes —
-      // DESIGN §14).
-      if (overlap) {
-        const Deadline deadline(elastic != nullptr
-                                    ? elastic->options().collective_timeout_s
-                                    : kNoTimeout);
-        exchanger_->BeginStep(*comm, params_, elastic, deadline);
-      }
-      recorder_.BeginStep(overlap ? exchanger_.get() : nullptr);
+      // Stream grad-ready events into the exchanger's bucket engine; its
+      // release policy decides whether buckets reduce during backward or
+      // at WaitAll (DESIGN §14).
+      exchanger_->BeginStep(*comm, params_, elastic,
+                            elastic != nullptr
+                                ? elastic->options().collective_timeout_s
+                                : kNoTimeout);
+      recorder_.BeginStep(*exchanger_);
       model_->SetGradReadyListener(&recorder_);
     }
     (void)model_->Backward(loss.grad_logits);
@@ -150,19 +144,10 @@ RankTrainer::StepResult RankTrainer::StepImpl(
                            &result.timings.exchange_seconds,
                            obs::HistogramOrNull("step.exchange_s"));
     EXACLIM_ALLOC_CENSUS("step.exchange");
-    CollectiveResult r;
-    if (overlap) {
-      // Barrier: only the exchange tail not hidden behind backward shows
-      // up here (a RankKilledError raised on the exchange thread by the
-      // chaos schedule rethrows out of WaitAll on this thread).
-      r = exchanger_->WaitAll();
-    } else if (elastic != nullptr) {
-      const Deadline deadline(elastic->options().collective_timeout_s);
-      r = exchanger_->TryExchange(*comm, params_, *elastic, deadline,
-                                  recorder_.order());
-    } else {
-      exchanger_->Exchange(*comm, params_, recorder_.order());
-    }
+    // Barrier: only the exchange not hidden behind backward shows up
+    // here (a RankKilledError raised on the exchange thread by the chaos
+    // schedule rethrows out of WaitAll on this thread).
+    const CollectiveResult r = exchanger_->WaitAll();
     if (exchange_status != nullptr) *exchange_status = r;
     if (elastic != nullptr) {
       if (!r.ok()) {

@@ -128,8 +128,7 @@ class RankTrainer {
   std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<GradientExchanger> exchanger_;
   /// Streams per-layer grad-ready events from Backward into the
-  /// exchanger (overlap mode) and records the emission order the
-  /// serialized exchange replays, so both modes fuse identical buckets.
+  /// exchanger's bucket engine.
   GradReadyRecorder recorder_;
   LossScaler scaler_;
 };

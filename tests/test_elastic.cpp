@@ -349,18 +349,11 @@ TEST(ElasticBitIdentity, ElasticOnWithNoFaultsMatchesElasticOff) {
   // The same binary with elastic enabled but no faults armed must
   // produce bit-identical results: generation 0 runs the exact same
   // algorithms over the exact same rank sets as the non-elastic path.
-  //
-  // The readiness shuffle stays off here: it emulates TensorFlow's
-  // timing-dependent scheduler, which makes the *negotiated reduce
-  // order* (and with it floating-point grouping) vary run to run on
-  // both paths. With deterministic readiness the comparison isolates
-  // exactly the elastic machinery.
+  // Both sides run the default exchanger options.
   ClimateDataset dataset(TinyData());
   TrainerOptions off = TinyElasticTrainer();
-  off.exchanger.shuffle_ready_order = false;
   off.elastic.enabled = false;
   TrainerOptions on = TinyElasticTrainer();
-  on.exchanger.shuffle_ready_order = false;
 
   const TrainRunResult a = RunDistributedTraining(off, dataset, 4, 4, 8);
   const TrainRunResult b = RunDistributedTraining(on, dataset, 4, 4, 8);
@@ -378,7 +371,6 @@ TEST(ElasticBitIdentity, ElasticOnWithNoFaultsMatchesElasticOff) {
 TEST(ElasticBitIdentity, HybridTransportAlsoMatches) {
   ClimateDataset dataset(TinyData());
   TrainerOptions off = TinyElasticTrainer();
-  off.exchanger.shuffle_ready_order = false;
   off.exchanger.transport = ReduceTransport::kHybrid;
   off.exchanger.hybrid.topology.ranks_per_node = 2;
   off.exchanger.hybrid.mpi_ranks_per_node = 2;

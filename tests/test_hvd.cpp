@@ -317,7 +317,7 @@ TEST(GradientExchanger, AveragesAcrossRanksBitIdentically) {
     ExchangerOptions opts;
     opts.hybrid.topology.ranks_per_node = 3;
     opts.hybrid.mpi_ranks_per_node = 2;
-    GradientExchanger exchanger(opts, 42);
+    GradientExchanger exchanger(opts);
     exchanger.Exchange(comm, params);
     std::vector<float>& flat = results[static_cast<std::size_t>(comm.rank())];
     for (Param* q : params) {
@@ -351,7 +351,7 @@ TEST(GradientExchanger, TransportsAgree) {
       opts.transport = transport;
       opts.hybrid.topology.ranks_per_node = 3;
       opts.hybrid.mpi_ranks_per_node = 2;
-      GradientExchanger exchanger(opts, 7);
+      GradientExchanger exchanger(opts);
       exchanger.Exchange(comm, params);
       if (comm.rank() == 0) {
         for (Param* q : params) {
@@ -386,7 +386,7 @@ TEST(GradientExchanger, FusionThresholdControlsBufferCount) {
       ExchangerOptions opts;
       opts.transport = ReduceTransport::kMpiRing;
       opts.fusion_threshold_bytes = threshold;
-      GradientExchanger exchanger(opts, 3);
+      GradientExchanger exchanger(opts);
       exchanger.Exchange(comm, params);
       if (comm.rank() == 0) buffers = exchanger.last_fused_buffers();
     });
@@ -405,7 +405,7 @@ TEST(GradientExchanger, FP16WirePrecisionQuantises) {
     ExchangerOptions opts;
     opts.transport = ReduceTransport::kMpiRing;
     opts.wire_precision = Precision::kFP16;
-    GradientExchanger exchanger(opts, 5);
+    GradientExchanger exchanger(opts);
     std::vector<Param*> params{&param};
     exchanger.Exchange(comm, params);
     EXPECT_FLOAT_EQ(param.grad[0], 1.0f);  // quantised on the wire
@@ -418,8 +418,7 @@ TEST(GradientExchanger, SingleRankIsIdentityAverage) {
   world.Run([](Communicator& comm) {
     Param param("p", Tensor::Zeros(TensorShape{4}));
     param.grad.Fill(3.0f);
-    GradientExchanger exchanger(
-        {.transport = ReduceTransport::kMpiRing}, 1);
+    GradientExchanger exchanger({.transport = ReduceTransport::kMpiRing});
     std::vector<Param*> params{&param};
     exchanger.Exchange(comm, params);
     EXPECT_FLOAT_EQ(param.grad[0], 3.0f);

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "io/pipeline.hpp"
 #include "io/sample_io.hpp"
@@ -124,22 +127,52 @@ TEST(Integration, FullDataPlaneToTraining) {
   fs::remove_all(dir);
 }
 
-TEST(Integration, RepeatedRunsAgreeToRoundingLevel) {
-  // Across runs, the control plane's negotiated tensor order depends on
-  // message arrival timing (exactly as in real Horovod), which permutes
-  // the fusion buffer and hence the ring-shard boundaries — so repeated
-  // runs agree only up to FP32 reduction rounding. (Bit-identity ACROSS
-  // RANKS within one run is guaranteed and tested in test_train.)
+struct RepeatedRunCase {
+  const char* name;
+  TrainerOptions opts;
+  int ranks;
+  int steps;
+};
+
+void PrintTo(const RepeatedRunCase& c, std::ostream* os) { *os << c.name; }
+
+class IntegrationDeterminism
+    : public ::testing::TestWithParam<RepeatedRunCase> {};
+
+TEST_P(IntegrationDeterminism, RepeatedRunsAreBitIdentical) {
+  // Every rank announces its gradients in the same backward emission
+  // order, so the control plane agrees on the same bucket orders in
+  // every run regardless of message timing: repeated multi-rank runs are
+  // bit-identical, not merely close, and every replica ends identical.
+  const RepeatedRunCase& c = GetParam();
   const ClimateDataset dataset(DataOptions());
-  const auto a = RunDistributedTraining(TrainOptions(), dataset, 3, 8, 8);
-  const auto b = RunDistributedTraining(TrainOptions(), dataset, 3, 8, 8);
-  ASSERT_EQ(a.loss_history.size(), b.loss_history.size());
-  for (std::size_t i = 0; i < a.loss_history.size(); ++i) {
-    EXPECT_NEAR(a.loss_history[i], b.loss_history[i],
-                1e-3 * std::max(1.0, a.loss_history[i]))
-        << "step " << i;
+  const auto a = RunDistributedTraining(c.opts, dataset, c.ranks, c.steps, 8);
+  const auto b = RunDistributedTraining(c.opts, dataset, c.ranks, c.steps, 8);
+  EXPECT_EQ(a.loss_history, b.loss_history);
+  EXPECT_EQ(a.survivor_param_crcs, b.survivor_param_crcs);
+  for (const std::uint32_t crc : a.survivor_param_crcs) {
+    EXPECT_EQ(crc, a.survivor_param_crcs[0]);
   }
 }
+
+/// The default exchanger (hybrid transport, default fusion threshold,
+/// buckets released at WaitAll) over a world of two 2-rank nodes.
+TrainerOptions DefaultHybridOptions() {
+  TrainerOptions o = TrainOptions();
+  o.exchanger = ExchangerOptions{};
+  o.exchanger.hybrid.topology.ranks_per_node = 2;
+  o.exchanger.hybrid.mpi_ranks_per_node = 2;
+  return o;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Exchangers, IntegrationDeterminism,
+    ::testing::Values(RepeatedRunCase{"Ring3Ranks", TrainOptions(), 3, 8},
+                      RepeatedRunCase{"DefaultHybrid4Ranks",
+                                      DefaultHybridOptions(), 4, 4}),
+    [](const ::testing::TestParamInfo<RepeatedRunCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Integration, SingleRankRunsAreBitDeterministic) {
   // With one rank there is no negotiation race: repeated runs are

@@ -1,14 +1,19 @@
-// Overlapped gradient exchange tests (DESIGN §14): bit-identity of
-// overlap-on vs overlap-off (FP32 and the packed-FP16 wire), the bounded
-// bucket-tag layout (regression for the tag overflow past the elastic
-// generation stride), binary16 overflow-boundary agreement between the
+// Gradient exchange engine tests (DESIGN §14): the bucket engine against
+// the serialized exchange oracle (tests/exchange_oracle.hpp) under both
+// release policies, per-bucket deadlines that a long backward cannot
+// exhaust, trainer-level bit identity of overlap on vs off
+// (FP32 and the packed-FP16 wire), the bounded bucket-tag layout
+// (regression for the tag overflow past the elastic generation
+// stride), binary16 overflow-boundary agreement between the
 // RTNE converter, CountHalfNonFinite's bit threshold and the packed wire,
 // wire-byte halving under FP16, and the chaos soak with the exchange
 // running on its dedicated thread.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -16,12 +21,16 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
+#include "comm/collectives.hpp"
 #include "comm/elastic.hpp"
 #include "comm/world.hpp"
 #include "common/fault.hpp"
 #include "common/half.hpp"
+#include "exchange_oracle.hpp"
 #include "hvd/exchanger.hpp"
 #include "tensor/cast.hpp"
 #include "scoped_env.hpp"
@@ -65,90 +74,114 @@ TrainerOptions TinyTrainer() {
   o.tiramisu = Tiramisu::Config::Downscaled(4);
   o.learning_rate = 2e-3f;
   o.exchanger.transport = ReduceTransport::kMpiRing;
-  // Overlap-on must be bit-identical to overlap-off: the readiness
-  // shuffle stays off because overlap's readiness order IS the backward
-  // emission order (see ExchangerOptions).
-  o.exchanger.shuffle_ready_order = false;
   return o;
 }
 
-// ------------------------------------------------ exchanger-level runs --
+// ------------------------------------------------ engine vs. oracle --
+
+/// 7 tensors of 3..9 pseudo-random floats per rank: full mantissas, so
+/// any change in bucket composition, reduce order or shard boundaries
+/// shows up in the rounding.
+std::vector<std::unique_ptr<Param>> MakeRandomParams(int rank) {
+  std::mt19937 rng(0x5eedu + static_cast<unsigned>(rank));
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  std::vector<std::unique_ptr<Param>> params;
+  for (std::int64_t i = 0; i < 7; ++i) {
+    auto p = std::make_unique<Param>("p" + std::to_string(i),
+                                     Tensor::Zeros(TensorShape{3 + i}));
+    for (float& v : p->grad.Data()) v = dist(rng);
+    params.push_back(std::move(p));
+  }
+  return params;
+}
 
 struct ExchangeOutcome {
-  std::vector<float> rank0_grads;
-  std::int64_t fused_buffers = 0;
+  std::vector<std::vector<float>> grads;  // per rank, flattened
+  std::int64_t fused_buffers = 0;         // rank 0
 };
 
-/// Runs one exchange over 6 ranks with a small fusion threshold (so the
-/// tensors split into several buckets) and returns rank 0's resulting
-/// gradients. `overlap == true` drives the streaming
-/// BeginStep/NotifyGradReady/WaitAll path with the emission order set to
-/// the index order; `overlap == false` runs the serialized path fed the
-/// same readiness order.
-ExchangeOutcome RunExchange(ReduceTransport transport, Precision wire,
-                            bool overlap) {
+enum class Emission { kIndexOrder, kPermuted };
+
+/// Runs one exchange over 6 ranks, through the engine (announcing the
+/// tensors in `emission` order) or through the oracle.
+ExchangeOutcome RunExchange(const ExchangerOptions& opts, Emission emission,
+                            bool oracle) {
   const int p = 6;
+  const std::vector<int> order =
+      emission == Emission::kIndexOrder ? std::vector<int>{0, 1, 2, 3, 4, 5, 6}
+                                        : std::vector<int>{4, 0, 6, 2, 5, 1, 3};
   SimWorld world(p);
   ExchangeOutcome out;
+  out.grads.resize(p);
   world.Run([&](Communicator& comm) {
-    auto owned = MakeParams(comm.rank(), 5, 7);
+    auto owned = MakeRandomParams(comm.rank());
     std::vector<Param*> params;
     for (auto& q : owned) params.push_back(q.get());
-    ExchangerOptions opts;
-    opts.transport = transport;
-    opts.wire_precision = wire;
-    opts.shuffle_ready_order = false;
-    opts.fusion_threshold_bytes = 64;  // a few tensors per bucket
-    opts.hybrid.topology.ranks_per_node = 3;
-    opts.hybrid.mpi_ranks_per_node = 2;
-    GradientExchanger exchanger(opts, 7);
-    if (overlap) {
-      exchanger.BeginStep(comm, params, /*elastic=*/nullptr,
-                          Deadline(kNoTimeout));
-      for (int i = 0; i < static_cast<int>(params.size()); ++i) {
-        exchanger.NotifyGradReady(i);
-      }
-      const CollectiveResult r = exchanger.WaitAll();
-      EXPECT_TRUE(r.ok());
+    std::int64_t buffers = 0;
+    if (oracle) {
+      buffers = OracleExchange(comm, params, order, opts);
     } else {
-      exchanger.Exchange(comm, params);
+      GradientExchanger exchanger(opts);
+      exchanger.BeginStep(comm, params, /*elastic=*/nullptr,
+                          kNoTimeout);
+      for (const int i : order) exchanger.NotifyGradReady(i);
+      EXPECT_TRUE(exchanger.WaitAll().ok());
+      buffers = exchanger.last_fused_buffers();
     }
-    if (comm.rank() == 0) {
-      out.fused_buffers = exchanger.last_fused_buffers();
-      for (Param* q : params) {
-        out.rank0_grads.insert(out.rank0_grads.end(), q->grad.Data().begin(),
-                               q->grad.Data().end());
-      }
+    std::vector<float>& flat = out.grads[static_cast<std::size_t>(comm.rank())];
+    for (Param* q : params) {
+      flat.insert(flat.end(), q->grad.Data().begin(), q->grad.Data().end());
     }
+    if (comm.rank() == 0) out.fused_buffers = buffers;
   });
   return out;
 }
 
-class OverlapTransports : public ::testing::TestWithParam<ReduceTransport> {};
+using OracleCase =
+    std::tuple<ReduceTransport, Precision, std::int64_t, Emission, bool>;
 
-TEST_P(OverlapTransports, OverlapOnIsBitIdenticalToOffFP32) {
-  const ExchangeOutcome off =
-      RunExchange(GetParam(), Precision::kFP32, /*overlap=*/false);
-  const ExchangeOutcome on =
-      RunExchange(GetParam(), Precision::kFP32, /*overlap=*/true);
-  EXPECT_GT(off.fused_buffers, 1);  // the threshold actually split buckets
-  EXPECT_EQ(on.fused_buffers, off.fused_buffers);
-  EXPECT_EQ(on.rank0_grads, off.rank0_grads);  // bit identity
+class ExchangeOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(ExchangeOracle, EngineMatchesOracleBitwise) {
+  const auto [transport, wire, threshold, emission, overlap] = GetParam();
+  ExchangerOptions opts;
+  opts.transport = transport;
+  opts.wire_precision = wire;
+  opts.fusion_threshold_bytes = threshold;
+  opts.overlap = overlap;
+  opts.hybrid.topology.ranks_per_node = 3;
+  opts.hybrid.mpi_ranks_per_node = 2;
+
+  const ExchangeOutcome want = RunExchange(opts, emission, /*oracle=*/true);
+  const ExchangeOutcome got = RunExchange(opts, emission, /*oracle=*/false);
+  EXPECT_EQ(got.fused_buffers, want.fused_buffers);
+  EXPECT_EQ(got.grads, want.grads);  // bit identity, on every rank
+  for (std::size_t r = 1; r < got.grads.size(); ++r) {
+    EXPECT_EQ(got.grads[r], got.grads[0]) << "rank " << r;
+  }
+  // The thresholds cover one tensor per bucket, a few per bucket and
+  // the whole step in one bucket.
+  if (threshold == 1) {
+    EXPECT_EQ(want.fused_buffers, 7);
+  } else if (threshold == 64) {
+    EXPECT_GT(want.fused_buffers, 1);
+    EXPECT_LT(want.fused_buffers, 7);
+  } else {
+    EXPECT_EQ(want.fused_buffers, 1);
+  }
 }
 
-TEST_P(OverlapTransports, OverlapOnIsBitIdenticalToOffFP16Wire) {
-  const ExchangeOutcome off =
-      RunExchange(GetParam(), Precision::kFP16, /*overlap=*/false);
-  const ExchangeOutcome on =
-      RunExchange(GetParam(), Precision::kFP16, /*overlap=*/true);
-  EXPECT_EQ(on.fused_buffers, off.fused_buffers);
-  EXPECT_EQ(on.rank0_grads, off.rank0_grads);  // bit identity
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTransports, OverlapTransports,
-                         ::testing::Values(ReduceTransport::kMpiRing,
-                                           ReduceTransport::kMpiTree,
-                                           ReduceTransport::kHybrid));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ExchangeOracle,
+    ::testing::Combine(::testing::Values(ReduceTransport::kMpiRing,
+                                         ReduceTransport::kMpiTree,
+                                         ReduceTransport::kHybrid),
+                       ::testing::Values(Precision::kFP32, Precision::kFP16),
+                       ::testing::Values(std::int64_t{1}, std::int64_t{64},
+                                         std::int64_t{1} << 20),
+                       ::testing::Values(Emission::kIndexOrder,
+                                         Emission::kPermuted),
+                       ::testing::Bool()));
 
 TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
   const int p = 4;
@@ -160,13 +193,12 @@ TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
     for (auto& q : owned) params.push_back(q.get());
     ExchangerOptions opts;
     opts.transport = ReduceTransport::kMpiRing;
-    opts.shuffle_ready_order = false;
     opts.fusion_threshold_bytes = 48;
-    GradientExchanger exchanger(opts, 11);
+    GradientExchanger exchanger(opts);
     // Two consecutive overlapped steps through one exchanger (the
     // persistent exchange thread is reused).
     for (int s = 0; s < 2; ++s) {
-      exchanger.BeginStep(comm, params, nullptr, Deadline(kNoTimeout));
+      exchanger.BeginStep(comm, params, nullptr, kNoTimeout);
       for (int i = 0; i < static_cast<int>(params.size()); ++i) {
         exchanger.NotifyGradReady(i);
       }
@@ -182,6 +214,58 @@ TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
     EXPECT_EQ(results[static_cast<std::size_t>(r)], results[0]);
   }
 }
+
+// ------------------------------------------------- exchange deadline --
+
+class ExchangeDeadline : public ::testing::TestWithParam<bool> {};
+
+/// Backward time must not eat the exchange budget: each bucket's
+/// collective_timeout_s starts when the exchange thread takes it. Every
+/// tensor here is announced after a "layer" longer than the timeout, so
+/// a deadline started at BeginStep (or at the first bucket) would
+/// expire before the step's later negotiations and the elastic trainer
+/// would roll the step back and rebuild a world with no dead rank.
+TEST_P(ExchangeDeadline, BackwardLongerThanTimeoutLosesNoStep) {
+  constexpr double kTimeout = 0.1;
+  constexpr auto kLayerTime = std::chrono::milliseconds(150);
+  constexpr int kSteps = 2;
+  const int p = 3;
+  ExchangerOptions opts;
+  opts.transport = ReduceTransport::kMpiRing;
+  opts.fusion_threshold_bytes = 1;  // one bucket per tensor
+  opts.overlap = GetParam();
+  std::atomic<int> ok_steps{0};
+  SimWorld world(p);
+  world.Run([&](Communicator& comm) {
+    ElasticOptions eo;
+    eo.enabled = true;
+    eo.collective_timeout_s = kTimeout;
+    ElasticWorld elastic(comm, eo);
+    auto owned = MakeParams(comm.rank(), 3, 8);
+    std::vector<Param*> params;
+    for (auto& q : owned) params.push_back(q.get());
+    GradientExchanger exchanger(opts);
+    for (int s = 0; s < kSteps; ++s) {
+      exchanger.BeginStep(comm, params, &elastic,
+                          eo.collective_timeout_s);
+      for (int i = 0; i < static_cast<int>(params.size()); ++i) {
+        std::this_thread::sleep_for(kLayerTime);
+        exchanger.NotifyGradReady(i);
+      }
+      const CollectiveResult r = exchanger.WaitAll();
+      EXPECT_TRUE(r.ok()) << "rank " << comm.rank() << " step " << s
+                          << ": " << ToString(r.status);
+      if (r.ok()) ok_steps.fetch_add(1, std::memory_order_relaxed);
+    }
+    EXPECT_EQ(exchanger.last_fused_buffers(), 3);
+  });
+  EXPECT_EQ(ok_steps.load(), kSteps * p);
+}
+
+INSTANTIATE_TEST_SUITE_P(ReleasePolicy, ExchangeDeadline, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "OverlapOn" : "OverlapOff";
+                         });
 
 // ------------------------------------------------- trainer bit identity --
 
@@ -262,9 +346,8 @@ TEST(BucketTagLayout, ExchangeSurvivesMoreBucketsThanTagSlots) {
     }
     ExchangerOptions opts;
     opts.transport = ReduceTransport::kMpiRing;
-    opts.shuffle_ready_order = false;
     opts.fusion_threshold_bytes = 1;
-    GradientExchanger exchanger(opts, 3);
+    GradientExchanger exchanger(opts);
     exchanger.Exchange(comm, params);
     for (int i = 0; i < n; ++i) {
       ASSERT_FLOAT_EQ(params[static_cast<std::size_t>(i)]->grad[0], 1.5f)
@@ -429,9 +512,8 @@ TEST(WireBytes, FP16WireHalvesBytesOnTheWire) {
       param.grad.Fill(static_cast<float>(comm.rank() + 1));
       ExchangerOptions opts;
       opts.transport = ReduceTransport::kMpiRing;
-      opts.shuffle_ready_order = false;
       opts.wire_precision = wire;
-      GradientExchanger exchanger(opts, 3);
+      GradientExchanger exchanger(opts);
       std::vector<Param*> params{&param};
       exchanger.Exchange(comm, params);
       EXPECT_FLOAT_EQ(param.grad[0], 2.5f);  // mean of 1..4, half-exact

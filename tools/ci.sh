@@ -28,8 +28,9 @@
 #   7. TSan: Debug build + `stress`-labelled tests   (preset: tsan)
 #   8. fault-smoke: fault suite re-run under TSan with a fixed
 #      EXACLIM_FAULTS spec (env-driven injection path, DESIGN §8)
-#   10. overlap-smoke (TSan): exchange-thread-vs-backward suites re-run
-#      under TSan, incl. the chaos kill on the exchange thread
+#   10. overlap-smoke (TSan): exchange-thread suites re-run under TSan —
+#      the engine-vs-oracle sweep, the blocking GradientExchanger tests
+#      and the chaos kill on the exchange thread
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -192,15 +193,18 @@ run env TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_elastic --gtest_filter='ChaosSmoke.*'
 
 # ---- 10. overlap-smoke (TSan half) ---------------------------------------
-# The overlapped exchange runs gradient reduction on a dedicated exchange
-# thread while the trainer thread still emits grad-ready notifications
+# Every gradient exchange runs on the exchanger's dedicated thread, under
+# overlap while the trainer thread still emits grad-ready notifications
 # (DESIGN §14) — exactly the pairing TSan exists for. Re-run the
-# bit-identity + chaos overlap suites under TSan, including the chaos
+# engine-vs-oracle sweep, the bit-identity + chaos overlap suites and
+# the blocking GradientExchanger tests under TSan, including the chaos
 # schedule where rank 1's kill fires on the exchange thread and the
 # RankKilledError must propagate through WaitAll to the trainer thread.
 run env TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_overlap \
-  --gtest_filter='Overlap*:AllTransports/*:BucketTagLayout.*'
+  --gtest_filter='Overlap*:*ExchangeOracle.*:BucketTagLayout.*'
+run env TSAN_OPTIONS=halt_on_error=1 \
+  ./build-tsan/tests/test_hvd --gtest_filter='GradientExchanger.*'
 
 echo
 echo "ci.sh: all gates green (lint, tier-1, bench-smoke, perf-smoke, alloc-smoke, overlap-smoke, asan+ubsan, tsan-stress, fault-smoke, chaos-smoke)"
