@@ -9,21 +9,25 @@
 
 namespace exaclim {
 
-/// Collective algorithms implemented over point-to-point messaging —
-/// the building blocks the paper's hybrid all-reduce composes (Sec
-/// V-A3). All reductions are float sums with deterministic combining
-/// order (independent of thread timing), so data-parallel replicas stay
-/// bit-identical.
+/// Collective algorithms over point-to-point messaging, run over an
+/// arbitrary group of world ranks — the building block of the paper's
+/// hybrid all-reduce (Sec V-A3), where different phases run over "the 6
+/// GPUs of a node" (NCCL scope) and "rank k of every node" (MPI scope).
+/// A collective over the whole world runs over RankGroup::World. Ring
+/// all-reduce is the systolic reduce-scatter + allgather (the NCCL
+/// pattern); broadcast and reduce are binomial trees. All reductions are
+/// float sums with deterministic combining order (independent of thread
+/// timing), so data-parallel replicas stay bit-identical.
 ///
 /// Each call takes a `tag` namespace; sequential collectives on the same
-/// communicator may reuse a tag, concurrent ones must not.
+/// communicator may reuse a tag, concurrent ones must not. All members
+/// must call with an identical group and tag.
 ///
-/// Every collective has a deadline-aware Try* variant returning a
+/// Every collective has a deadline-aware Try* form returning a
 /// CollectiveResult instead of hanging or throwing when a peer dies
 /// mid-operation — the substrate of elastic training (DESIGN §13). The
-/// blocking functions are thin wrappers that delegate with kNoTimeout,
-/// so both paths execute the identical message pattern and combining
-/// order (bit-identical results).
+/// blocking form delegates with kNoTimeout, so both run the identical
+/// message pattern and combining order.
 
 /// Outcome of a deadline-aware collective.
 enum class CollectiveStatus {
@@ -43,69 +47,63 @@ struct CollectiveResult {
   bool ok() const { return status == CollectiveStatus::kOk; }
 };
 
-/// Dissemination barrier: ceil(log2 n) rounds.
-void Barrier(Communicator& comm, int tag = 1000);
-CollectiveResult TryBarrier(Communicator& comm, const Deadline& deadline,
-                            int tag = 1000);
+/// The participating world ranks of a collective; the calling rank must
+/// be a member.
+class RankGroup {
+ public:
+  RankGroup(std::span<const int> ranks, int my_world_rank);
+  /// Every rank of `comm`'s world, in rank order.
+  static RankGroup World(const Communicator& comm);
 
-/// Binomial-tree broadcast from root.
-void Broadcast(Communicator& comm, int root, std::span<float> data,
-               int tag = 1100);
-CollectiveResult TryBroadcast(Communicator& comm, int root,
-                              std::span<float> data,
-                              const Deadline& deadline, int tag = 1100);
+  int size() const { return static_cast<int>(ranks_.size()); }
+  int my_index() const { return my_index_; }
+  int WorldRank(int index) const { return ranks_.at(static_cast<std::size_t>(index)); }
 
-/// Binomial-tree sum-reduction to root (other ranks' buffers untouched).
-void Reduce(Communicator& comm, int root, std::span<float> data,
-            int tag = 1200);
-CollectiveResult TryReduce(Communicator& comm, int root,
-                           std::span<float> data, const Deadline& deadline,
-                           int tag = 1200);
+ private:
+  std::vector<int> ranks_;
+  int my_index_;
+};
 
-/// Ring reduce-scatter: on return, rank r owns the fully reduced shard
-/// (r+1) mod n (the classic systolic-ring layout, matched by
-/// AllgatherRing). Shards partition [0, n) as evenly as possible via
-/// ComputeShards. This is the NCCL-style pattern of Sec V-A3.
+/// Scope of the periodic liveness scan a waiting member runs inside a
+/// bounded receive. kGroup (the default) only aborts on a dead *member*
+/// — elastic generations deliberately keep collectives alive while
+/// ex-members stay dead in the world. kWorld aborts on a death
+/// anywhere; correct only when the caller knows any death dooms the
+/// operation, e.g. the hybrid allreduce whose subgroup phases require
+/// the entire generation-0 world.
+enum class DeadScan { kGroup, kWorld };
+
+/// Bounded receive of every collective and of the control plane.
+/// Receives from `src` (a world rank or kAnySource) in short slices,
+/// scanning `scan`'s scope for dead ranks in between, so a death in
+/// scope fails the wait within one slice even when this rank's wait
+/// edge is with a live peer that is itself stuck on the dead one. On the
+/// healthy path it consumes exactly the messages one long wait would.
+/// On failure `src` names the suspect: the dead rank, else the waited
+/// source.
+RecvResult ScanningRecv(Communicator& comm, const RankGroup& group, int src,
+                        int tag, const Deadline& deadline,
+                        DeadScan scan = DeadScan::kGroup);
+
+/// Names a failed receive. A kTimeout while waiting on a live peer is
+/// usually a cascade from a dead rank elsewhere, so it becomes kPeerDead
+/// naming a dead group member if there is one, else a dead rank anywhere
+/// in the world; otherwise `suspect` stands.
+CollectiveResult RecvFailure(const Communicator& comm, const RankGroup& group,
+                             int suspect, RecvStatus status);
+
+/// Throws on a failed blocking form — the pre-elastic contract (an
+/// unbounded Recv from a dead peer throws exaclim::Error).
+void RequireOk(const Communicator& comm, const char* what,
+               const CollectiveResult& result);
+
+/// Partition of [0, n) into `parts` contiguous shards, as even as
+/// possible (the first n % parts shards take one extra element).
 struct ShardExtent {
   std::size_t offset;
   std::size_t count;
 };
 std::vector<ShardExtent> ComputeShards(std::size_t n, int parts);
-void ReduceScatterRing(Communicator& comm, std::span<float> data,
-                       int tag = 1300);
-CollectiveResult TryReduceScatterRing(Communicator& comm,
-                                      std::span<float> data,
-                                      const Deadline& deadline,
-                                      int tag = 1300);
-
-/// Ring allgather of the per-rank shards produced by ReduceScatterRing.
-void AllgatherRing(Communicator& comm, std::span<float> data,
-                   int tag = 1400);
-CollectiveResult TryAllgatherRing(Communicator& comm, std::span<float> data,
-                                  const Deadline& deadline, int tag = 1400);
-
-enum class AllreduceAlgo {
-  kRing,               // reduce-scatter + allgather (bandwidth-optimal)
-  kTree,               // reduce to root + broadcast (latency-friendly)
-  kRecursiveDoubling,  // power-of-two butterfly (MPI-style)
-};
-
-const char* ToString(AllreduceAlgo algo);
-
-/// In-place sum all-reduce with the chosen algorithm. Recursive doubling
-/// falls back to tree for non-power-of-two sizes.
-void Allreduce(Communicator& comm, std::span<float> data,
-               AllreduceAlgo algo = AllreduceAlgo::kRing, int tag = 1500);
-CollectiveResult TryAllreduce(Communicator& comm, std::span<float> data,
-                              AllreduceAlgo algo, const Deadline& deadline,
-                              int tag = 1500);
-
-/// Gathers `data` from every rank to root (concatenated rank-major).
-void Gather(Communicator& comm, int root, std::span<const float> data,
-            std::span<float> out, int tag = 1600);
-CollectiveResult TryGather(Communicator& comm, int root,
-                           std::span<const float> data, std::span<float> out,
-                           const Deadline& deadline, int tag = 1600);
 
 /// On-the-wire encoding of a float payload. kFP32 sends raw floats;
 /// kFP16 packs each element through IEEE binary16 (PackHalf), halving
@@ -115,6 +113,12 @@ CollectiveResult TryGather(Communicator& comm, int root,
 /// Values already representable in binary16 survive a pack/unpack hop
 /// bit-exactly, which is what keeps forwarded (already-quantised)
 /// payloads identical along broadcast and allgather paths.
+///
+/// The algorithms quantise *kept* data at the same points the wire
+/// quantises *sent* data — the ring quantises each owner's fully reduced
+/// shard before the allgather, the tree's root quantises before
+/// broadcasting — so every member still finishes with bit-identical
+/// buffers.
 enum class WireFormat { kFP32, kFP16 };
 
 const char* ToString(WireFormat wire);
@@ -125,16 +129,44 @@ inline std::size_t WireBytes(std::size_t count, WireFormat wire) {
                                             : sizeof(std::uint16_t));
 }
 
-/// Sends `data` to `dst` encoded per `wire`. The kFP16 path packs into a
-/// pooled thread-local scratch buffer (no heap traffic on the exchange
-/// hot path) before the buffered send copies it out.
-void SendFloats(Communicator& comm, int dst, int tag,
-                std::span<const float> data, WireFormat wire);
+/// Binomial-tree broadcast from the member at `root_index`.
+void GroupBroadcast(Communicator& comm, const RankGroup& group,
+                    int root_index, std::span<float> data, int tag);
+CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
+                                   int root_index, std::span<float> data,
+                                   const Deadline& deadline, int tag,
+                                   DeadScan scan = DeadScan::kGroup,
+                                   WireFormat wire = WireFormat::kFP32);
 
-/// Decodes a received payload (previously produced by SendFloats with
-/// the same `wire`) into `out`. The payload size must equal
-/// WireBytes(out.size(), wire) — callers check before decoding.
-void DecodeFloats(std::span<const std::byte> payload, std::span<float> out,
-                  WireFormat wire);
+/// Binomial-tree sum-reduction to the member at `root_index` (other
+/// members' buffers hold partial sums afterwards).
+void GroupReduce(Communicator& comm, const RankGroup& group, int root_index,
+                 std::span<float> data, int tag);
+CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
+                                int root_index, std::span<float> data,
+                                const Deadline& deadline, int tag,
+                                DeadScan scan = DeadScan::kGroup,
+                                WireFormat wire = WireFormat::kFP32);
+
+/// Ring reduce-scatter + allgather within the group (in-place sum;
+/// bandwidth-optimal). Uses tags [tag, tag + 2 * size).
+void GroupAllreduceRing(Communicator& comm, const RankGroup& group,
+                        std::span<float> data, int tag);
+CollectiveResult TryGroupAllreduceRing(Communicator& comm,
+                                       const RankGroup& group,
+                                       std::span<float> data,
+                                       const Deadline& deadline, int tag,
+                                       DeadScan scan = DeadScan::kGroup,
+                                       WireFormat wire = WireFormat::kFP32);
+
+/// Tree all-reduce: reduce to member 0 (tag), then broadcast (tag + 1).
+void GroupAllreduceTree(Communicator& comm, const RankGroup& group,
+                        std::span<float> data, int tag);
+CollectiveResult TryGroupAllreduceTree(Communicator& comm,
+                                       const RankGroup& group,
+                                       std::span<float> data,
+                                       const Deadline& deadline, int tag,
+                                       DeadScan scan = DeadScan::kGroup,
+                                       WireFormat wire = WireFormat::kFP32);
 
 }  // namespace exaclim

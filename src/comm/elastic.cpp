@@ -33,27 +33,6 @@ MsgHeader GetHeader(const std::vector<std::byte>& buf) {
   return header;
 }
 
-/// Failure result for a consensus receive; a timeout while a member is
-/// dead names the dead member (the timeout is its cascade).
-CollectiveResult ConsensusFail(Communicator& comm, int waited_world_rank,
-                               RecvStatus status) {
-  CollectiveResult result;
-  result.suspect_rank = waited_world_rank;
-  result.status = status == RecvStatus::kPeerDead
-                      ? CollectiveStatus::kPeerDead
-                      : CollectiveStatus::kTimeout;
-  if (result.status == CollectiveStatus::kTimeout) {
-    for (int r = 0; r < comm.size(); ++r) {
-      if (comm.PeerDead(r)) {
-        result.status = CollectiveStatus::kPeerDead;
-        result.suspect_rank = r;
-        break;
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 ElasticOptions ElasticOptions::FromEnv(ElasticOptions base) {
@@ -127,7 +106,10 @@ CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
           std::vector<std::byte>* payload) -> CollectiveResult {
     for (;;) {
       RecvResult r = comm_->RecvTimeout(src, tag, deadline.Remaining());
-      if (!r.ok()) return ConsensusFail(*comm_, src, r.status);
+      if (!r.ok()) {
+        return RecvFailure(*comm_, RankGroup(members, comm_->rank()), src,
+                           r.status);
+      }
       const MsgHeader header = GetHeader(r.payload);
       if (header.generation != gen || header.attempt != attempt) {
         ++stale_rejected_;

@@ -77,10 +77,11 @@ struct RecvResult {
 };
 
 /// Per-rank handle into a SimWorld: blocking tagged point-to-point
-/// messaging, plus counters used by the control-plane experiments. All
-/// collectives (comm/collectives.hpp) are built on these primitives, the
-/// same way MPI collectives are built on sends — so the hierarchical
-/// Horovod algorithms in hvd/ genuinely execute their message patterns.
+/// messaging, plus counters used by the control-plane experiments. The
+/// group collectives (comm/collectives.hpp) are built on these
+/// primitives, the same way MPI collectives are built on sends — so the
+/// hybrid all-reduce and control planes in hvd/ genuinely execute their
+/// message patterns.
 ///
 /// Fault semantics (DESIGN §8): Send to a dead rank is silently dropped;
 /// blocking Recv from a dead rank throws exaclim::Error (it can never

@@ -10,57 +10,8 @@
 namespace exaclim {
 namespace {
 
-// Branch-light float<->binary16 conversions for the wire path (the
-// exchanger compresses/decompresses every fused gradient buffer per step,
-// paper §4.4). Same round-to-nearest-even / overflow-to-inf / subnormal
-// semantics as Half — bit-exactness against Half::FromFloat/ToFloat is
-// fuzz-asserted in tests/test_tensor.cpp — but written as straight-line
-// bit arithmetic the autovectorizer can chew on, instead of the
-// branch-heavy scalar path in common/half.cpp.
-
 // Threshold above which the elementwise loops fan out on the global pool.
 constexpr std::size_t kCastGrain = 1 << 15;
-
-inline std::uint16_t F32ToF16Bits(float value) {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
-  const std::uint32_t sign = (bits >> 16) & 0x8000u;
-  std::uint32_t abs = bits & 0x7fffffffu;
-  std::uint32_t out;
-  if (abs >= 0x47800000u) {
-    // Inf, NaN, or magnitude >= 2^16: quiet-NaN payload or infinity.
-    out = abs > 0x7f800000u ? 0x7e00u : 0x7c00u;
-  } else if (abs < 0x38800000u) {
-    // Result is binary16 subnormal or zero: let the FPU do the
-    // denormalizing shift + RTNE by adding 0.5f (whose exponent places
-    // the binary16 subnormal ulp just above the float mantissa), then
-    // strip the 0.5f bit pattern back off.
-    const float shifted = std::bit_cast<float>(abs) + 0.5f;
-    out = std::bit_cast<std::uint32_t>(shifted) - 0x3f000000u;
-  } else {
-    // Normal range: rebias the exponent and round to nearest even; a
-    // mantissa carry overflows into the exponent (and to inf) correctly.
-    const std::uint32_t mant_odd = (abs >> 13) & 1u;
-    abs += 0xc8000000u + 0xfffu + mant_odd;  // ((15-127)<<23) rebias + rtne
-    out = abs >> 13;
-  }
-  return static_cast<std::uint16_t>(out | sign);
-}
-
-inline float F16ToF32(std::uint16_t h) {
-  const std::uint32_t sign = (static_cast<std::uint32_t>(h) & 0x8000u) << 16;
-  std::uint32_t bits = (static_cast<std::uint32_t>(h) & 0x7fffu) << 13;
-  const std::uint32_t exp = bits & 0x0f800000u;  // binary16 exponent field
-  bits += (127u - 15u) << 23;                    // rebias to binary32
-  if (exp == 0x0f800000u) {
-    bits += (128u - 16u) << 23;  // inf/NaN: push exponent to 255
-  } else if (exp == 0u) {
-    // Zero/subnormal: renormalize through float arithmetic (exact).
-    bits += 1u << 23;
-    bits = std::bit_cast<std::uint32_t>(std::bit_cast<float>(bits) -
-                                        std::bit_cast<float>(0x38800000u));
-  }
-  return std::bit_cast<float>(sign | bits);
-}
 
 }  // namespace
 
@@ -74,7 +25,7 @@ void RoundTripHalf(std::span<float> values) {
       0, values.size(),
       [data](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-          data[i] = F16ToF32(F32ToF16Bits(data[i]));
+          data[i] = HalfBitsToFloat(FloatToHalfBits(data[i]));
         }
       },
       kCastGrain);
@@ -92,7 +43,7 @@ void PackHalf(std::span<const float> values,
   ParallelFor(
       0, values.size(),
       [src, dst](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) dst[i] = F32ToF16Bits(src[i]);
+        for (std::size_t i = lo; i < hi; ++i) dst[i] = FloatToHalfBits(src[i]);
       },
       kCastGrain);
 }
@@ -113,7 +64,7 @@ void UnpackHalf(std::span<const std::uint16_t> packed,
   ParallelFor(
       0, packed.size(),
       [src, dst](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) dst[i] = F16ToF32(src[i]);
+        for (std::size_t i = lo; i < hi; ++i) dst[i] = HalfBitsToFloat(src[i]);
       },
       kCastGrain);
 }

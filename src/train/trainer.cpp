@@ -4,13 +4,13 @@
 #include <chrono>
 #include <string>
 
+#include "comm/collectives.hpp"
 #include "common/alloc_tracker.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/pool.hpp"
 #include "common/sync.hpp"
-#include "hvd/group.hpp"
 #include "obs/obs.hpp"
 
 namespace exaclim {
@@ -160,13 +160,7 @@ RankTrainer::StepResult RankTrainer::StepImpl(
         return result;
       }
     } else {
-      EXACLIM_CHECK(r.ok(),
-                    "rank " << comm->rank()
-                            << ": blocking exchange cannot complete: rank "
-                            << r.suspect_rank
-                            << (r.status == CollectiveStatus::kPeerDead
-                                    ? " is dead"
-                                    : " is unresponsive"));
+      RequireOk(*comm, "exchange", r);
     }
   }
 
@@ -302,12 +296,7 @@ CollectiveResult RankTrainer::ResyncFromRoot(Communicator& comm,
         group.WorldRank(0), elastic.GenTag(kTagResyncCrc),
         deadline.Remaining(), &root_crc);
     if (status != RecvStatus::kOk) {
-      CollectiveResult fail;
-      fail.status = status == RecvStatus::kPeerDead
-                        ? CollectiveStatus::kPeerDead
-                        : CollectiveStatus::kTimeout;
-      fail.suspect_rank = group.WorldRank(0);
-      return fail;
+      return RecvFailure(comm, group, group.WorldRank(0), status);
     }
     EXACLIM_CHECK(root_crc == local_crc,
                   "rank " << comm.rank() << ": resync CRC mismatch (root "

@@ -14,14 +14,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <vector>
 
+#include "comm/collectives.hpp"
 #include "common/error.hpp"
 #include "hvd/control_plane.hpp"
 #include "hvd/exchanger.hpp"
-#include "hvd/group.hpp"
 #include "hvd/hybrid.hpp"
 #include "tensor/cast.hpp"
 
@@ -34,9 +33,7 @@ inline std::int64_t OracleExchange(Communicator& comm,
                                    const std::vector<Param*>& params,
                                    std::span<const int> emission_order,
                                    const ExchangerOptions& opts) {
-  std::vector<int> members(static_cast<std::size_t>(comm.size()));
-  std::iota(members.begin(), members.end(), 0);
-  const RankGroup group(members, comm.rank());
+  const RankGroup group = RankGroup::World(comm);
   const Deadline no_deadline(kNoTimeout);
 
   // One negotiation for the whole step.

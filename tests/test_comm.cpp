@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
+#include <cstring>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -94,7 +95,11 @@ TEST(SimWorld, ExceptionOnOneRankPoisonsBlockedPeers) {
 TEST(SimWorld, ReusableAcrossRuns) {
   SimWorld world(3);
   for (int round = 0; round < 3; ++round) {
-    world.Run([](Communicator& comm) { Barrier(comm); });
+    world.Run([](Communicator& comm) {
+      std::vector<float> token(1, comm.rank() == 0 ? 1.0f : 0.0f);
+      GroupBroadcast(comm, RankGroup::World(comm), 0, token, 1000);
+      EXPECT_EQ(token[0], 1.0f);
+    });
   }
   SUCCEED();
 }
@@ -113,95 +118,194 @@ TEST(SimWorld, RecvSizeMismatchThrows) {
 
 class CollectiveSizes : public ::testing::TestWithParam<int> {};
 
-TEST_P(CollectiveSizes, BarrierCompletes) {
-  SimWorld world(GetParam());
-  std::atomic<int> after{0};
-  world.Run([&](Communicator& comm) {
-    Barrier(comm);
-    after.fetch_add(1);
-  });
-  EXPECT_EQ(after.load(), GetParam());
-}
-
 TEST_P(CollectiveSizes, BroadcastDistributesRootData) {
   const int n = GetParam();
-  SimWorld world(n);
-  const int root = n > 2 ? 2 : 0;
-  world.Run([&](Communicator& comm) {
-    std::vector<float> data(17, comm.rank() == root ? 3.5f : 0.0f);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      if (comm.rank() == root) data[i] += static_cast<float>(i);
-    }
-    Broadcast(comm, root, data);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      EXPECT_FLOAT_EQ(data[i], 3.5f + static_cast<float>(i));
-    }
-  });
-}
-
-TEST_P(CollectiveSizes, ReduceSumsToRoot) {
-  const int n = GetParam();
-  SimWorld world(n);
-  const auto expected = ExpectedSum(n, 23);
-  world.Run([&](Communicator& comm) {
-    auto data = RankPayload(comm.rank(), 23);
-    Reduce(comm, 0, data);
-    if (comm.rank() == 0) {
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_NEAR(data[i], expected[i], 1e-4f);
-      }
-    }
-  });
-}
-
-TEST_P(CollectiveSizes, AllreduceAllAlgorithmsAgree) {
-  const int n = GetParam();
-  const std::size_t len = 41;
-  const auto expected = ExpectedSum(n, len);
-  for (const auto algo : {AllreduceAlgo::kRing, AllreduceAlgo::kTree,
-                          AllreduceAlgo::kRecursiveDoubling}) {
+  for (int root = 0; root < n; ++root) {
     SimWorld world(n);
     world.Run([&](Communicator& comm) {
-      auto data = RankPayload(comm.rank(), len);
-      Allreduce(comm, data, algo);
-      for (std::size_t i = 0; i < len; ++i) {
-        EXPECT_NEAR(data[i], expected[i], 1e-3f)
-            << ToString(algo) << " n=" << n << " i=" << i;
+      std::vector<float> data(17, comm.rank() == root ? 3.5f : 0.0f);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        if (comm.rank() == root) data[i] += static_cast<float>(i);
+      }
+      GroupBroadcast(comm, RankGroup::World(comm), root, data, 1100);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        EXPECT_FLOAT_EQ(data[i], 3.5f + static_cast<float>(i))
+            << "root " << root;
       }
     });
   }
 }
 
-TEST_P(CollectiveSizes, ReduceScatterThenAllgatherEqualsAllreduce) {
+TEST_P(CollectiveSizes, ReduceSumsToRoot) {
   const int n = GetParam();
-  const std::size_t len = 37;  // deliberately not divisible by n
-  const auto expected = ExpectedSum(n, len);
-  SimWorld world(n);
-  world.Run([&](Communicator& comm) {
-    auto data = RankPayload(comm.rank(), len);
-    ReduceScatterRing(comm, data);
-    AllgatherRing(comm, data);
-    for (std::size_t i = 0; i < len; ++i) {
-      EXPECT_NEAR(data[i], expected[i], 1e-3f) << "i=" << i;
-    }
-  });
+  const auto expected = ExpectedSum(n, 23);
+  for (int root = 0; root < n; ++root) {
+    SimWorld world(n);
+    world.Run([&](Communicator& comm) {
+      auto data = RankPayload(comm.rank(), 23);
+      GroupReduce(comm, RankGroup::World(comm), root, data, 1200);
+      if (comm.rank() == root) {
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          EXPECT_NEAR(data[i], expected[i], 1e-4f) << "root " << root;
+        }
+      }
+    });
+  }
 }
 
-TEST_P(CollectiveSizes, ReduceScatterOwnedShardIsCorrect) {
+// Ring and tree both sum correctly, and every rank ends with a bitwise
+// equal buffer — the replica property the exchanger relies on.
+TEST_P(CollectiveSizes, AllreduceAllAlgorithmsAgree) {
   const int n = GetParam();
-  const std::size_t len = 29;
+  const std::size_t len = 41;  // deliberately not divisible by most n
   const auto expected = ExpectedSum(n, len);
+  for (const bool ring : {true, false}) {
+    std::vector<std::vector<float>> results(static_cast<std::size_t>(n));
+    SimWorld world(n);
+    world.Run([&](Communicator& comm) {
+      auto data = RankPayload(comm.rank(), len);
+      const RankGroup group = RankGroup::World(comm);
+      if (ring) {
+        GroupAllreduceRing(comm, group, data, 1500);
+      } else {
+        GroupAllreduceTree(comm, group, data, 1500);
+      }
+      for (std::size_t i = 0; i < len; ++i) {
+        EXPECT_NEAR(data[i], expected[i], 1e-3f)
+            << (ring ? "ring" : "tree") << " n=" << n << " i=" << i;
+      }
+      results[static_cast<std::size_t>(comm.rank())] = std::move(data);
+    });
+    for (int r = 1; r < n; ++r) {
+      EXPECT_EQ(std::memcmp(results[0].data(),
+                            results[static_cast<std::size_t>(r)].data(),
+                            len * sizeof(float)),
+                0)
+          << (ring ? "ring" : "tree") << " n=" << n << ": rank " << r
+          << " differs from rank 0";
+    }
+  }
+}
+
+// A one-element allreduce is the group layer's rendezvous: every result
+// depends on every member's contribution, so no member can return before
+// all members have entered.
+TEST_P(CollectiveSizes, AllreduceIsARendezvous) {
+  const int n = GetParam();
+  for (const bool ring : {true, false}) {
+    std::atomic<int> arrived{0};
+    SimWorld world(n);
+    world.Run([&](Communicator& comm) {
+      arrived.fetch_add(1);
+      std::vector<float> token(1, 1.0f);
+      const RankGroup group = RankGroup::World(comm);
+      if (ring) {
+        GroupAllreduceRing(comm, group, token, 1500);
+      } else {
+        GroupAllreduceTree(comm, group, token, 1500);
+      }
+      EXPECT_EQ(arrived.load(), n) << (ring ? "ring" : "tree");
+      EXPECT_EQ(token[0], static_cast<float>(n)) << (ring ? "ring" : "tree");
+    });
+  }
+}
+
+// The packed FP16 wire halves the bytes of every ring and tree message
+// and still leaves every member with a bitwise equal buffer. The payload
+// sums are multiples of 0.25 below 256, exact in binary16, so the packed
+// result matches the exact sum.
+TEST_P(CollectiveSizes, Fp16WireHalvesBytesAndKeepsReplicasEqual) {
+  const int n = GetParam();
+  const std::size_t len = 41;
+  const auto expected = ExpectedSum(n, len);
+  for (const bool ring : {true, false}) {
+    std::int64_t fp32_bytes = 0;
+    std::int64_t fp16_bytes = 0;
+    std::vector<std::vector<float>> results(static_cast<std::size_t>(n));
+    for (const WireFormat wire : {WireFormat::kFP32, WireFormat::kFP16}) {
+      SimWorld world(n);
+      world.Run([&](Communicator& comm) {
+        auto data = RankPayload(comm.rank(), len);
+        const RankGroup group = RankGroup::World(comm);
+        const Deadline deadline(kNoTimeout);
+        const CollectiveResult r =
+            ring ? TryGroupAllreduceRing(comm, group, data, deadline, 1500,
+                                         DeadScan::kGroup, wire)
+                 : TryGroupAllreduceTree(comm, group, data, deadline, 1500,
+                                         DeadScan::kGroup, wire);
+        EXPECT_TRUE(r.ok()) << ToString(r.status);
+        for (std::size_t i = 0; i < len; ++i) {
+          EXPECT_NEAR(data[i], expected[i], 1e-3f)
+              << (ring ? "ring " : "tree ") << ToString(wire) << " i=" << i;
+        }
+        if (wire == WireFormat::kFP16) {
+          results[static_cast<std::size_t>(comm.rank())] = std::move(data);
+        }
+      });
+      (wire == WireFormat::kFP16 ? fp16_bytes : fp32_bytes) =
+          world.total_bytes();
+    }
+    EXPECT_EQ(2 * fp16_bytes, fp32_bytes) << (ring ? "ring" : "tree");
+    for (int r = 1; r < n; ++r) {
+      EXPECT_EQ(std::memcmp(results[0].data(),
+                            results[static_cast<std::size_t>(r)].data(),
+                            len * sizeof(float)),
+                0)
+          << (ring ? "ring" : "tree") << " fp16 n=" << n << ": rank " << r
+          << " differs from rank 0";
+    }
+  }
+}
+
+// A group need be neither the world nor in rank order: every other rank,
+// listed in descending order, runs ring, tree, broadcast and reduce by
+// group index. The world's byte count shows the ranks outside the group
+// neither sent nor received.
+TEST_P(CollectiveSizes, ReversedStridedSubgroupRunsOnlyItsMembers) {
+  const int n = GetParam();
+  std::vector<int> members;
+  for (int r = n - 1; r >= 0; r -= 2) members.push_back(r);
+  const int m = static_cast<int>(members.size());
+  const int root_index = m - 1;  // the member with the lowest world rank
+  const std::size_t len = 19;
+  std::vector<float> expected(len, 0.0f);
+  for (const int r : members) {
+    const auto p = RankPayload(r, len);
+    for (std::size_t i = 0; i < len; ++i) expected[i] += p[i];
+  }
   SimWorld world(n);
   world.Run([&](Communicator& comm) {
-    auto data = RankPayload(comm.rank(), len);
-    ReduceScatterRing(comm, data);
-    // Rank r owns shard (r+1) mod n after the ring.
-    const auto shards = ComputeShards(len, n);
-    const auto& own = shards[static_cast<std::size_t>((comm.rank() + 1) % n)];
-    for (std::size_t i = own.offset; i < own.offset + own.count; ++i) {
-      EXPECT_NEAR(data[i], expected[i], 1e-3f);
+    if (std::find(members.begin(), members.end(), comm.rank()) ==
+        members.end()) {
+      return;
+    }
+    const RankGroup group(members, comm.rank());
+    auto ring = RankPayload(comm.rank(), len);
+    auto tree = ring;
+    auto reduced = ring;
+    std::vector<float> bcast(len, 0.0f);
+    if (group.my_index() == root_index) {
+      for (std::size_t i = 0; i < len; ++i) {
+        bcast[i] = 7.0f + static_cast<float>(i);
+      }
+    }
+    GroupAllreduceRing(comm, group, ring, 1500);
+    GroupAllreduceTree(comm, group, tree, 1600);
+    GroupBroadcast(comm, group, root_index, bcast, 1700);
+    GroupReduce(comm, group, root_index, reduced, 1800);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_NEAR(ring[i], expected[i], 1e-4f) << "ring i=" << i;
+      EXPECT_NEAR(tree[i], expected[i], 1e-4f) << "tree i=" << i;
+      EXPECT_EQ(bcast[i], 7.0f + static_cast<float>(i)) << "bcast i=" << i;
+      if (group.my_index() == root_index) {
+        EXPECT_NEAR(reduced[i], expected[i], 1e-4f) << "reduce i=" << i;
+      }
     }
   });
+  // Ring and tree each move 2(m-1) buffers' worth, broadcast and reduce
+  // (m-1) each.
+  EXPECT_EQ(world.total_bytes(),
+            6 * (m - 1) * static_cast<std::int64_t>(len * sizeof(float)));
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectiveSizes,
@@ -231,24 +335,6 @@ TEST(ComputeShards, MorePartsThanElements) {
   EXPECT_EQ(shards[3].count, 0u);
 }
 
-TEST(Gather, ConcatenatesRankMajor) {
-  SimWorld world(4);
-  world.Run([](Communicator& comm) {
-    const std::vector<float> mine{static_cast<float>(comm.rank()),
-                                  static_cast<float>(comm.rank()) + 0.5f};
-    std::vector<float> out(comm.rank() == 1 ? 8 : 0);
-    Gather(comm, 1, mine, out);
-    if (comm.rank() == 1) {
-      for (int r = 0; r < 4; ++r) {
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(2 * r)],
-                        static_cast<float>(r));
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(2 * r + 1)],
-                        static_cast<float>(r) + 0.5f);
-      }
-    }
-  });
-}
-
 TEST(Topology, SummitMapping) {
   const Topology summit{.ranks_per_node = 6};
   EXPECT_EQ(summit.NodeOf(0), 0);
@@ -271,7 +357,7 @@ TEST(AllreduceCounters, RingUsesFewerBytesThanTreeAtScale) {
     SimWorld world(n);
     world.Run([&](Communicator& comm) {
       auto data = RankPayload(comm.rank(), len);
-      Allreduce(comm, data, AllreduceAlgo::kRing);
+      GroupAllreduceRing(comm, RankGroup::World(comm), data, 1500);
     });
     ring_bytes = world.total_bytes();
   }
@@ -279,7 +365,7 @@ TEST(AllreduceCounters, RingUsesFewerBytesThanTreeAtScale) {
     SimWorld world(n);
     world.Run([&](Communicator& comm) {
       auto data = RankPayload(comm.rank(), len);
-      Allreduce(comm, data, AllreduceAlgo::kTree);
+      GroupAllreduceTree(comm, RankGroup::World(comm), data, 1500);
     });
     tree_bytes = world.total_bytes();
   }

@@ -141,7 +141,8 @@ TEST(Deadline, BoundedCountsDownAndExpires) {
 // (algorithm) x (killed-rank position): every survivor's bounded
 // collective must return kPeerDead naming the actual victim — including
 // survivors whose wait edge is with a live peer that is itself stuck —
-// and must never hang.
+// and must never hang. Ring and tree run the group collectives the
+// exchanger calls, over the whole world with the default scan scope.
 
 enum class Scheme { kRing, kTree, kHybrid };
 
@@ -163,10 +164,12 @@ void RunKillMatrixCase(Scheme scheme, int victim) {
     CollectiveResult r;
     switch (scheme) {
       case Scheme::kRing:
-        r = TryAllreduce(comm, data, AllreduceAlgo::kRing, deadline);
+        r = TryGroupAllreduceRing(comm, RankGroup::World(comm), data,
+                                  deadline, 1500);
         break;
       case Scheme::kTree:
-        r = TryAllreduce(comm, data, AllreduceAlgo::kTree, deadline);
+        r = TryGroupAllreduceTree(comm, RankGroup::World(comm), data,
+                                  deadline, 1500);
         break;
       case Scheme::kHybrid:
         r = TryHybridAllreduce(comm, data, hybrid, deadline);
@@ -208,17 +211,93 @@ TEST(CollectiveKillMatrix, HybridLastRankDies) {
   RunKillMatrixCase(Scheme::kHybrid, 3);
 }
 
-TEST(CollectiveKillMatrix, BarrierReportsTheDeadRank) {
-  SimWorld world(4);
+// The tree's two halves over a world of 6. A dead broadcast root
+// starves every survivor, and each names it. A dead contributor to a
+// reduce starves the root, which names it; survivors off the victim's
+// path may finish, but none may name another rank.
+TEST(CollectiveKillMatrix, BroadcastRootDies) {
+  const int n = 6;
+  const int root = 2;
+  std::atomic<int> survivors_checked{0};
+  SimWorld world(n);
   world.Run([&](Communicator& comm) {
-    if (comm.rank() == 2) {
+    if (comm.rank() == root) {
       comm.KillSelf();
       return;
     }
-    const CollectiveResult r = TryBarrier(comm, Deadline(30.0));
-    EXPECT_EQ(r.status, CollectiveStatus::kPeerDead);
-    EXPECT_EQ(r.suspect_rank, 2);
+    std::vector<float> data(64, 0.0f);
+    const CollectiveResult r = TryGroupBroadcast(
+        comm, RankGroup::World(comm), root, data, Deadline(30.0), 1100);
+    EXPECT_EQ(r.status, CollectiveStatus::kPeerDead)
+        << "rank " << comm.rank() << " got " << ToString(r.status);
+    EXPECT_EQ(r.suspect_rank, root) << "rank " << comm.rank();
+    survivors_checked.fetch_add(1, std::memory_order_relaxed);
   });
+  EXPECT_EQ(survivors_checked.load(), n - 1);
+}
+
+TEST(CollectiveKillMatrix, ReduceContributorDies) {
+  const int n = 6;
+  const int root = 1;
+  const int victim = 4;
+  std::atomic<int> survivors_checked{0};
+  SimWorld world(n);
+  world.Run([&](Communicator& comm) {
+    if (comm.rank() == victim) {
+      comm.KillSelf();
+      return;
+    }
+    std::vector<float> data(64, static_cast<float>(comm.rank() + 1));
+    const CollectiveResult r = TryGroupReduce(
+        comm, RankGroup::World(comm), root, data, Deadline(30.0), 1200);
+    if (comm.rank() == root || !r.ok()) {
+      EXPECT_EQ(r.status, CollectiveStatus::kPeerDead)
+          << "rank " << comm.rank() << " got " << ToString(r.status);
+      EXPECT_EQ(r.suspect_rank, victim) << "rank " << comm.rank();
+    }
+    survivors_checked.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(survivors_checked.load(), n - 1);
+}
+
+// The scan scope (DESIGN §13): rank 0 is dead before a ring over
+// {1,2,3,4} starts, and rank 1 joins late, so the others wait past
+// several scan slices. Under kGroup the dead non-member is ignored and
+// the ring completes with the exact sum; under kWorld every member
+// aborts naming rank 0.
+void RunScanScopeCase(DeadScan scan) {
+  const std::vector<int> members{1, 2, 3, 4};
+  std::atomic<int> members_checked{0};
+  SimWorld world(5);
+  world.Run([&](Communicator& comm) {
+    if (comm.rank() == 0) {
+      comm.KillSelf();
+      return;
+    }
+    if (comm.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    }
+    std::vector<float> data(64, static_cast<float>(comm.rank()));
+    const CollectiveResult r =
+        TryGroupAllreduceRing(comm, RankGroup(members, comm.rank()), data,
+                              Deadline(30.0), 1500, scan);
+    if (scan == DeadScan::kGroup) {
+      EXPECT_TRUE(r.ok()) << "rank " << comm.rank() << " got "
+                          << ToString(r.status);
+      for (const float v : data) EXPECT_EQ(v, 1.0f + 2.0f + 3.0f + 4.0f);
+    } else {
+      EXPECT_EQ(r.status, CollectiveStatus::kPeerDead)
+          << "rank " << comm.rank() << " got " << ToString(r.status);
+      EXPECT_EQ(r.suspect_rank, 0) << "rank " << comm.rank();
+    }
+    members_checked.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(members_checked.load(), 4);
+}
+
+TEST(CollectiveKillMatrix, ScanScopeIgnoresDeadNonMembersUnlessWorld) {
+  RunScanScopeCase(DeadScan::kGroup);
+  RunScanScopeCase(DeadScan::kWorld);
 }
 
 // -------------------------------------------------------- ElasticWorld --

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "hvd/control_plane.hpp"
 #include "hvd/exchanger.hpp"
-#include "hvd/group.hpp"
 #include "hvd/hybrid.hpp"
 
 namespace exaclim {

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "comm/collectives.hpp"
@@ -14,6 +16,7 @@
 #include "hvd/control_plane.hpp"
 #include "hvd/hybrid.hpp"
 #include "flops/opspec.hpp"
+#include "half_oracle.hpp"
 #include "models/deeplab.hpp"
 #include "models/tiramisu.hpp"
 #include "nn/loss.hpp"
@@ -28,7 +31,7 @@ TEST(PropertyCollectives, FuzzedAllreduceMatchesBruteForce) {
   for (int trial = 0; trial < 12; ++trial) {
     const int ranks = static_cast<int>(fuzz.Int(1, 9));
     const auto len = static_cast<std::size_t>(fuzz.Int(1, 300));
-    const auto algo = static_cast<AllreduceAlgo>(fuzz.Int(0, 2));
+    const bool ring = fuzz.Int(0, 1) == 0;
 
     // Brute-force expected sums.
     std::vector<std::vector<float>> inputs(
@@ -47,11 +50,16 @@ TEST(PropertyCollectives, FuzzedAllreduceMatchesBruteForce) {
     SimWorld world(ranks);
     world.Run([&](Communicator& comm) {
       auto data = inputs[static_cast<std::size_t>(comm.rank())];
-      Allreduce(comm, data, algo);
+      const RankGroup world_group = RankGroup::World(comm);
+      if (ring) {
+        GroupAllreduceRing(comm, world_group, data, 1500);
+      } else {
+        GroupAllreduceTree(comm, world_group, data, 1500);
+      }
       for (std::size_t i = 0; i < len; ++i) {
         ASSERT_NEAR(data[i], expected[i], 1e-4f)
             << "trial " << trial << " ranks " << ranks << " algo "
-            << ToString(algo);
+            << (ring ? "ring" : "tree");
       }
     });
   }
@@ -97,13 +105,19 @@ TEST(PropertyCollectives, FuzzedHybridMatchesBruteForce) {
 // ------------------------------------------------------- Half fuzz ------
 
 TEST(PropertyHalf, ConversionMatchesDoubleRoundingReference) {
-  // For random floats, converting through our binary16 must equal the
-  // correctly-rounded (nearest-even) value computed via long-double
+  // For random floats, converting through our binary16 must agree bit
+  // for bit with the field-by-field oracle, and equal the
+  // correctly-rounded (nearest-even) value computed via double
   // arithmetic on the representable neighbours.
   Rng rng(555);
   for (int trial = 0; trial < 20000; ++trial) {
     const float v = rng.Uniform(-70000.0f, 70000.0f);
+    ASSERT_EQ(Half(v).bits(), oracle::FloatToHalfBits(v)) << "v=" << v;
     const float q = Half(v).ToFloat();
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(q),
+              std::bit_cast<std::uint32_t>(
+                  oracle::HalfBitsToFloat(Half(v).bits())))
+        << "v=" << v;
     if (!Half(v).IsFinite()) {
       EXPECT_GT(std::fabs(v), 65504.0f);
       continue;
@@ -129,13 +143,15 @@ TEST(PropertyHalf, ConversionMatchesDoubleRoundingReference) {
 
 TEST(PropertyHalf, ArithmeticIsFloatThenRound) {
   // Our Half ops are defined as float arithmetic + round: verify the
-  // composition explicitly over random pairs.
+  // composition over random pairs, converting through the oracle.
   Rng rng(556);
   for (int trial = 0; trial < 5000; ++trial) {
     const Half a(rng.Uniform(-100.0f, 100.0f));
     const Half b(rng.Uniform(-100.0f, 100.0f));
-    EXPECT_EQ((a + b).bits(), Half(a.ToFloat() + b.ToFloat()).bits());
-    EXPECT_EQ((a * b).bits(), Half(a.ToFloat() * b.ToFloat()).bits());
+    const float fa = oracle::HalfBitsToFloat(a.bits());
+    const float fb = oracle::HalfBitsToFloat(b.bits());
+    EXPECT_EQ((a + b).bits(), oracle::FloatToHalfBits(fa + fb));
+    EXPECT_EQ((a * b).bits(), oracle::FloatToHalfBits(fa * fb));
   }
 }
 

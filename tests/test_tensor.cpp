@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "half_oracle.hpp"
 #include "tensor/cast.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/shape.hpp"
@@ -262,9 +263,9 @@ TEST(Cast, TensorRoundTrip) {
   EXPECT_TRUE(std::isinf(t[1]));
 }
 
-// The vectorized wire-path conversions in cast.cpp must be bit-identical
-// to element-by-element Half construction: every rounding boundary,
-// subnormal, overflow and NaN case.
+// The branch-light conversions Half and the wire path share must be
+// bit-identical to the field-by-field oracle (tests/half_oracle.hpp):
+// every rounding boundary, subnormal, overflow and NaN case.
 
 TEST(Cast, PackHalfBitExactVsHalfFuzz) {
   Rng rng(11);
@@ -275,7 +276,7 @@ TEST(Cast, PackHalfBitExactVsHalfFuzz) {
     const auto bits = static_cast<std::uint32_t>(rng.engine()());
     values.push_back(std::bit_cast<float>(bits));
   }
-  // Boundary patterns of Half::FromFloat: underflow threshold, subnormal
+  // Boundary patterns of the conversion: underflow threshold, subnormal
   // range, normal/subnormal crossover, overflow-to-inf threshold.
   for (const std::uint32_t abs :
        {0x00000000u, 0x32ffffffu, 0x33000000u, 0x33000001u, 0x33800000u,
@@ -288,14 +289,14 @@ TEST(Cast, PackHalfBitExactVsHalfFuzz) {
   std::vector<std::uint16_t> packed(values.size());
   PackHalf(values, packed);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(packed[i], Half(values[i]).bits())
+    EXPECT_EQ(packed[i], oracle::FloatToHalfBits(values[i]))
         << "float bits 0x" << std::hex
         << std::bit_cast<std::uint32_t>(values[i]);
   }
 }
 
 TEST(Cast, UnpackHalfBitExactVsHalfExhaustive) {
-  // All 65536 binary16 values through the wire decode vs Half::ToFloat.
+  // All 65536 binary16 values through the wire decode vs the oracle.
   std::vector<std::uint16_t> packed(1 << 16);
   for (std::size_t i = 0; i < packed.size(); ++i) {
     packed[i] = static_cast<std::uint16_t>(i);
@@ -303,7 +304,7 @@ TEST(Cast, UnpackHalfBitExactVsHalfExhaustive) {
   std::vector<float> out(packed.size());
   UnpackHalf(packed, out);
   for (std::size_t i = 0; i < packed.size(); ++i) {
-    const float expected = Half::FromBits(packed[i]).ToFloat();
+    const float expected = oracle::HalfBitsToFloat(packed[i]);
     EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
               std::bit_cast<std::uint32_t>(expected))
         << "half bits 0x" << std::hex << i;

@@ -27,7 +27,11 @@
 #   6. ASan+UBSan: Debug build + full ctest suite    (preset: asan)
 #   7. TSan: Debug build + `stress`-labelled tests   (preset: tsan)
 #   8. fault-smoke: fault suite re-run under TSan with a fixed
-#      EXACLIM_FAULTS spec (env-driven injection path, DESIGN §8)
+#      EXACLIM_FAULTS spec (env-driven injection path, DESIGN §8), plus
+#      the collective kill matrix under TSan (every bounded collective
+#      runs the one scan-sliced receive, DESIGN §13)
+#   9. chaos-smoke: elastic chaos soak under TSan through the
+#      EXACLIM_FAULTS env path (DESIGN §13)
 #   10. overlap-smoke (TSan): exchange-thread suites re-run under TSan —
 #      the engine-vs-oracle sweep, the blocking GradientExchanger tests
 #      and the chaos kill on the exchange thread
@@ -181,6 +185,11 @@ run env TSAN_OPTIONS=halt_on_error=1 ctest --preset tsan -j "$JOBS"
 run env TSAN_OPTIONS=halt_on_error=1 \
   EXACLIM_FAULTS="comm.kill.1:1:7,pipeline.produce:1:11:4" \
   ./build-tsan/tests/test_fault --gtest_filter='FaultSmoke.*'
+# Every bounded collective — group ring, tree, broadcast, reduce and the
+# hybrid phases — waits in the one scan-sliced receive of
+# comm/collectives.cpp; its kill matrix re-runs under TSan.
+run env TSAN_OPTIONS=halt_on_error=1 \
+  ./build-tsan/tests/test_elastic --gtest_filter='CollectiveKillMatrix.*'
 
 # ---- 9. chaos-smoke ------------------------------------------------------
 # Elastic-training chaos soak under TSan through the EXACLIM_FAULTS env
