@@ -1,9 +1,9 @@
 // Reproduces the Sec V-A3 hybrid all-reduce story:
 //  * real executions of the ring, tree and hybrid (NCCL-intra +
 //    sharded-MPI-inter + NCCL-broadcast) algorithms at thread scale —
-//    the flat ring and tree are the group collectives over all ranks,
-//    with per-rank byte accounting showing why the hybrid uses the
-//    node-local links for the bulk of the traffic;
+//    the flat ring and tree are the group collectives over all ranks;
+//  * the hybrid's measured bytes sent per rank, for the ranks that join
+//    the inter-node phase and for the node-local-only ranks;
 //  * wall-time of the real thread-scale algorithms on gradient-sized
 //    buffers;
 //  * modelled all-reduce time at Summit scale for the paper's DeepLabv3+
@@ -78,27 +78,33 @@ int Main() {
               static_cast<long long>(hybrid.total_messages),
               hybrid.total_bytes / 1e6);
 
-  // Traffic split of the hybrid: intra-node vs inter-node bytes.
+  // Per-rank bytes of the hybrid. Only local ranks below
+  // mpi_ranks_per_node join the inter-node shard all-reduce; the others
+  // talk to their node alone.
   {
+    const HybridAllreduceOptions opts;
     SimWorld world(ranks);
-    std::vector<std::int64_t> inter_bytes(ranks, 0);
+    std::vector<std::int64_t> sent(ranks, 0);
     world.Run([&](Communicator& comm) {
       std::vector<float> data(elems, 1.0f);
       comm.ResetCounters();
-      HybridAllreduceOptions opts;
       HybridAllreduce(comm, data, opts);
-      // Local ranks >= mpi_ranks_per_node never talk off-node.
-      if (opts.topology.LocalRank(comm.rank()) >=
-          opts.mpi_ranks_per_node) {
-        inter_bytes[static_cast<std::size_t>(comm.rank())] = 0;
-      }
+      sent[static_cast<std::size_t>(comm.rank())] = comm.bytes_sent();
     });
     std::printf(
-        "  hybrid: only %d of %d ranks per node touch the inter-node "
-        "fabric, each moving a 1/%d shard\n",
-        HybridAllreduceOptions{}.mpi_ranks_per_node,
-        HybridAllreduceOptions{}.topology.ranks_per_node,
-        HybridAllreduceOptions{}.mpi_ranks_per_node);
+        "  hybrid bytes sent per rank [MB] (intra- plus inter-node: the "
+        "counters do not split them)\n");
+    for (const bool inter : {true, false}) {
+      std::printf("    local rank %s %d (%s):",
+                  inter ? "< " : ">=", opts.mpi_ranks_per_node,
+                  inter ? "inter-node shard ranks" : "node-local only");
+      for (int r = 0; r < ranks; ++r) {
+        if ((opts.topology.LocalRank(r) < opts.mpi_ranks_per_node) == inter) {
+          std::printf(" %.2f", sent[static_cast<std::size_t>(r)] / 1e6);
+        }
+      }
+      std::printf("\n");
+    }
   }
 
   // Packed FP16 wire (DESIGN §14): the exchanger rounds gradients

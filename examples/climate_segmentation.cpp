@@ -95,7 +95,7 @@ int main() {
                       MakeClassWeights(freq, WeightingScheme::kInverseSqrt),
                       0);
   std::printf("model parameters: %lld\n",
-              static_cast<long long>(trainer.ParameterCount()));
+              static_cast<long long>(ParameterCount(trainer.model())));
 
   Rng rng(99);
   for (int s = 0; s < 350; ++s) {

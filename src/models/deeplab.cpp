@@ -75,26 +75,6 @@ Tensor ASPP::Backward(const Tensor& grad_output) {
   return g_in;
 }
 
-std::vector<Param*> ASPP::Params() {
-  std::vector<Param*> params;
-  for (auto& b : branches_) AppendParams(params, *b);
-  AppendParams(params, *project_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> ASPP::StateTensors() {
-  std::vector<StateTensor> state;
-  for (auto& b : branches_) AppendStateTensors(state, *b);
-  AppendStateTensors(state, *project_);
-  return state;
-}
-
-void ASPP::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  for (auto& b : branches_) b->SetPrecisionRecursive(p);
-  project_->SetPrecisionRecursive(p);
-}
-
 // ------------------------------------------------------ DeepLabV3Plus ---
 
 DeepLabV3Plus::Config DeepLabV3Plus::Config::Paper(std::int64_t in_channels) {
@@ -265,53 +245,6 @@ Tensor DeepLabV3Plus::Backward(const Tensor& grad_output) {
   g = aspp_->Backward(g);
   NotifyGradsReady(*aspp_);
   return encoder_->Backward(g);
-}
-
-std::vector<Param*> DeepLabV3Plus::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *encoder_);
-  AppendParams(params, *aspp_);
-  AppendParams(params, *skip_reduce_);
-  AppendParams(params, *up1_);
-  AppendParams(params, *refine_);
-  for (auto& up : upsample_tail_) AppendParams(params, *up);
-  AppendParams(params, *classifier_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> DeepLabV3Plus::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *encoder_);
-  AppendStateTensors(state, *aspp_);
-  AppendStateTensors(state, *skip_reduce_);
-  AppendStateTensors(state, *up1_);
-  AppendStateTensors(state, *refine_);
-  for (auto& up : upsample_tail_) AppendStateTensors(state, *up);
-  AppendStateTensors(state, *classifier_);
-  return state;
-}
-
-void DeepLabV3Plus::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  encoder_->SetPrecisionAll(p);
-  aspp_->SetPrecisionAll(p);
-  skip_reduce_->SetPrecisionRecursive(p);
-  up1_->SetPrecision(p);
-  refine_->SetPrecisionRecursive(p);
-  for (auto& up : upsample_tail_) {
-    if (auto* seq = dynamic_cast<Sequential*>(up.get())) {
-      seq->SetPrecisionRecursive(p);
-    } else {
-      up->SetPrecision(p);
-    }
-  }
-  classifier_->SetPrecision(p);
-}
-
-std::int64_t DeepLabV3Plus::ParameterCount() {
-  std::int64_t count = 0;
-  for (Param* p : Params()) count += p->NumElements();
-  return count;
 }
 
 }  // namespace exaclim

@@ -24,9 +24,9 @@ class ASPP : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
+  std::vector<Layer*> Children() override {
+    return ChildList(branches_, project_);
+  }
 
   std::int64_t out_channels() const { return opts_.branch_c; }
 
@@ -69,12 +69,13 @@ class DeepLabV3Plus : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
+  /// Params() order, not forward order (see Tiramisu::Children).
+  std::vector<Layer*> Children() override {
+    return ChildList(encoder_, aspp_, skip_reduce_, up1_, refine_,
+                     upsample_tail_, classifier_);
+  }
 
   const Config& config() const { return config_; }
-  std::int64_t ParameterCount();
   /// Input H/W must be divisible by this.
   std::int64_t SpatialDivisor() const;
 

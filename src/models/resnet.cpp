@@ -71,27 +71,6 @@ Tensor Bottleneck::Backward(const Tensor& grad_output) {
   return g_in;
 }
 
-std::vector<Param*> Bottleneck::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *main_);
-  if (shortcut_) AppendParams(params, *shortcut_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> Bottleneck::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *main_);
-  if (shortcut_) AppendStateTensors(state, *shortcut_);
-  return state;
-}
-
-void Bottleneck::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  main_->SetPrecisionRecursive(p);
-  if (shortcut_) shortcut_->SetPrecisionRecursive(p);
-  out_relu_->SetPrecision(p);
-}
-
 // ------------------------------------------------------ ResNetEncoder ---
 
 ResNetEncoder::Config ResNetEncoder::Config::ResNet50(
@@ -199,26 +178,6 @@ Tensor ResNetEncoder::Backward(const Tensor& grad_output) {
   g = stem_->Backward(g);
   NotifyGradsReady(*stem_);
   return g;
-}
-
-std::vector<Param*> ResNetEncoder::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *stem_);
-  for (auto& b : blocks_) AppendParams(params, *b);
-  return params;
-}
-
-std::vector<Layer::StateTensor> ResNetEncoder::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *stem_);
-  for (auto& b : blocks_) AppendStateTensors(state, *b);
-  return state;
-}
-
-void ResNetEncoder::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  stem_->SetPrecisionRecursive(p);
-  for (auto& b : blocks_) b->SetPrecisionAll(p);
 }
 
 }  // namespace exaclim

@@ -30,9 +30,9 @@ class Bottleneck : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
+  std::vector<Layer*> Children() override {
+    return ChildList(main_, shortcut_, out_relu_);
+  }
 
  private:
   Options opts_;
@@ -73,9 +73,7 @@ class ResNetEncoder : public Layer {
 
   TensorShape OutputShape(const TensorShape& input) const override;
   TensorShape LowLevelShape(const TensorShape& input) const;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
+  std::vector<Layer*> Children() override { return ChildList(stem_, blocks_); }
 
   const Tensor& low_level() const { return low_level_; }
   std::int64_t out_channels() const { return out_channels_; }

@@ -96,23 +96,6 @@ Tensor DenseBlock::Backward(const Tensor& grad_output) {
   return std::move(feat_grads_[0]);
 }
 
-std::vector<Param*> DenseBlock::Params() {
-  std::vector<Param*> params;
-  for (auto& unit : units_) AppendParams(params, *unit);
-  return params;
-}
-
-std::vector<Layer::StateTensor> DenseBlock::StateTensors() {
-  std::vector<StateTensor> state;
-  for (auto& unit : units_) AppendStateTensors(state, *unit);
-  return state;
-}
-
-void DenseBlock::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  for (auto& unit : units_) unit->SetPrecisionRecursive(p);
-}
-
 // ----------------------------------------------------- TransitionDown ---
 
 TransitionDown::TransitionDown(std::string name, std::int64_t channels,
@@ -290,47 +273,6 @@ Tensor Tiramisu::Backward(const Tensor& grad_output) {
   g = first_conv_->Backward(g);
   NotifyGradsReady(*first_conv_);
   return g;
-}
-
-std::vector<Param*> Tiramisu::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *first_conv_);
-  for (auto& b : down_blocks_) AppendParams(params, *b);
-  for (auto& d : downs_) AppendParams(params, *d);
-  AppendParams(params, *bottleneck_);
-  for (auto& u : ups_) AppendParams(params, *u);
-  for (auto& b : up_blocks_) AppendParams(params, *b);
-  AppendParams(params, *final_conv_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> Tiramisu::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *first_conv_);
-  for (auto& b : down_blocks_) AppendStateTensors(state, *b);
-  for (auto& d : downs_) AppendStateTensors(state, *d);
-  AppendStateTensors(state, *bottleneck_);
-  for (auto& u : ups_) AppendStateTensors(state, *u);
-  for (auto& b : up_blocks_) AppendStateTensors(state, *b);
-  AppendStateTensors(state, *final_conv_);
-  return state;
-}
-
-void Tiramisu::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  first_conv_->SetPrecision(p);
-  for (auto& b : down_blocks_) b->SetPrecisionAll(p);
-  for (auto& d : downs_) d->SetPrecisionRecursive(p);
-  bottleneck_->SetPrecisionAll(p);
-  for (auto& u : ups_) u->SetPrecision(p);
-  for (auto& b : up_blocks_) b->SetPrecisionAll(p);
-  final_conv_->SetPrecision(p);
-}
-
-std::int64_t Tiramisu::ParameterCount() {
-  std::int64_t count = 0;
-  for (Param* p : Params()) count += p->NumElements();
-  return count;
 }
 
 }  // namespace exaclim

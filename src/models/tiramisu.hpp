@@ -35,9 +35,7 @@ class DenseBlock : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
+  std::vector<Layer*> Children() override { return ChildList(units_); }
 
   std::int64_t out_channels() const {
     return (opts_.include_input ? opts_.in_c : 0) +
@@ -101,14 +99,14 @@ class Tiramisu : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-
-  /// Propagates precision to every sub-layer (FP16 emulation).
-  void SetPrecisionAll(Precision p);
+  /// Params() order, not forward order: the exchanger's buckets, LARC and
+  /// checkpoints depend on it.
+  std::vector<Layer*> Children() override {
+    return ChildList(first_conv_, down_blocks_, downs_, bottleneck_, ups_,
+                     up_blocks_, final_conv_);
+  }
 
   const Config& config() const { return config_; }
-  std::int64_t ParameterCount();
   /// Input H/W must be divisible by this (2^len(down_layers)).
   std::int64_t SpatialDivisor() const;
 

@@ -62,21 +62,46 @@ class Layer {
   /// assembly checks.
   virtual TensorShape OutputShape(const TensorShape& input) const = 0;
 
-  virtual std::vector<Param*> Params() { return {}; }
+  /// Direct sublayers, in Params() order — the one place a container
+  /// names its children (DESIGN §5). Params(), StateTensors() and
+  /// SetPrecision() walk it; leaves keep the empty default.
+  virtual std::vector<Layer*> Children() { return {}; }
+
+  /// Trainable parameters. The default concatenates the children's lists
+  /// in Children() order; leaves with weights override it.
+  virtual std::vector<Param*> Params() {
+    std::vector<Param*> params;
+    for (Layer* child : Children()) {
+      for (Param* p : child->Params()) params.push_back(p);
+    }
+    return params;
+  }
 
   /// Non-trainable state that must survive checkpoint/resume — e.g.
   /// batch-norm running statistics. Named like params but outside the
   /// optimizer and the gradient exchange; checkpoints store them as
-  /// "__state__<name>" datasets.
+  /// "__state__<name>" datasets. Walks Children() like Params().
   struct StateTensor {
     std::string name;
     Tensor* tensor;
   };
-  virtual std::vector<StateTensor> StateTensors() { return {}; }
+  virtual std::vector<StateTensor> StateTensors() {
+    std::vector<StateTensor> state;
+    for (Layer* child : Children()) {
+      for (StateTensor& s : child->StateTensors()) {
+        state.push_back(std::move(s));
+      }
+    }
+    return state;
+  }
 
   const std::string& name() const { return name_; }
 
-  void SetPrecision(Precision p) { precision_ = p; }
+  /// Sets the precision of this layer and every descendant.
+  void SetPrecision(Precision p) {
+    precision_ = p;
+    for (Layer* child : Children()) child->SetPrecision(p);
+  }
   Precision precision() const { return precision_; }
 
   /// Installs the backward-progress observer on this layer (the trainer
@@ -113,15 +138,33 @@ class Layer {
 
 using LayerPtr = std::unique_ptr<Layer>;
 
-/// Collects Params from a list of layers (helper for containers/models).
-inline void AppendParams(std::vector<Param*>& out, Layer& layer) {
-  for (Param* p : layer.Params()) out.push_back(p);
+namespace detail {
+template <typename L>
+void AppendChild(std::vector<Layer*>& out, const std::unique_ptr<L>& child) {
+  if (child) out.push_back(child.get());
+}
+template <typename L>
+void AppendChild(std::vector<Layer*>& out,
+                 const std::vector<std::unique_ptr<L>>& children) {
+  for (const auto& child : children) AppendChild(out, child);
+}
+}  // namespace detail
+
+/// Builds a Children() list from owned members — single pointers (null =
+/// absent, e.g. an identity shortcut) and vectors of them — in argument
+/// order.
+template <typename... Owners>
+std::vector<Layer*> ChildList(const Owners&... owners) {
+  std::vector<Layer*> out;
+  (detail::AppendChild(out, owners), ...);
+  return out;
 }
 
-/// Same for non-trainable state tensors.
-inline void AppendStateTensors(std::vector<Layer::StateTensor>& out,
-                               Layer& layer) {
-  for (auto& s : layer.StateTensors()) out.push_back(std::move(s));
+/// Number of trainable scalars in a layer tree.
+inline std::int64_t ParameterCount(Layer& layer) {
+  std::int64_t count = 0;
+  for (const Param* p : layer.Params()) count += p->NumElements();
+  return count;
 }
 
 }  // namespace exaclim

@@ -63,29 +63,7 @@ class Sequential : public Layer {
     return s;
   }
 
-  std::vector<Param*> Params() override {
-    std::vector<Param*> params;
-    for (auto& layer : layers_) AppendParams(params, *layer);
-    return params;
-  }
-
-  std::vector<StateTensor> StateTensors() override {
-    std::vector<StateTensor> state;
-    for (auto& layer : layers_) AppendStateTensors(state, *layer);
-    return state;
-  }
-
-  /// Propagates precision to every contained layer.
-  void SetPrecisionRecursive(Precision p) {
-    SetPrecision(p);
-    for (auto& layer : layers_) {
-      if (auto* seq = dynamic_cast<Sequential*>(layer.get())) {
-        seq->SetPrecisionRecursive(p);
-      } else {
-        layer->SetPrecision(p);
-      }
-    }
-  }
+  std::vector<Layer*> Children() override { return ChildList(layers_); }
 
   std::size_t size() const { return layers_.size(); }
   Layer& at(std::size_t i) { return *layers_.at(i); }

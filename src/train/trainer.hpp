@@ -114,7 +114,6 @@ class RankTrainer {
 
   Layer& model() { return *model_; }
   const std::vector<Param*>& params() const { return params_; }
-  std::int64_t ParameterCount() const;
 
  private:
   StepResult StepImpl(const Batch& batch, Communicator* comm,
@@ -161,6 +160,5 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& opts,
 /// Builds the model described by the options (used by benches that need
 /// a standalone replica, e.g. for evaluation).
 std::unique_ptr<Layer> BuildModel(const TrainerOptions& opts, Rng& rng);
-void SetModelPrecision(Layer& model, Precision precision);
 
 }  // namespace exaclim

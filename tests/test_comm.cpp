@@ -345,36 +345,56 @@ TEST(Topology, SummitMapping) {
   EXPECT_EQ(summit.NumNodes(27360), 4560);  // full Summit (Sec VII-B)
 }
 
-TEST(AllreduceCounters, RingUsesFewerBytesThanTreeAtScale) {
-  // Ring all-reduce moves 2*(n-1)/n of the data per rank; tree moves the
-  // whole buffer up and down the tree — at the root's links the tree is
-  // bandwidth-bound. Check aggregate byte counts reflect the known
-  // asymptotics.
+TEST(AllreduceCounters, EqualTotalsButTreeConcentratesPerRankBytes) {
+  // Ring and tree all-reduce move the same total bytes, 2(n-1) buffers'
+  // worth. The ring spreads them evenly: every rank sends 2(n-1)/n of the
+  // buffer. The binomial reduce+broadcast sends one full buffer per edge,
+  // so the root and internal nodes send up to log2(n) buffers each — the
+  // per-rank concentration that makes the tree bandwidth-bound at scale.
   const int n = 8;
   const std::size_t len = 1024;
-  std::int64_t ring_bytes = 0, tree_bytes = 0;
-  {
+  const std::int64_t buf = static_cast<std::int64_t>(len) * 4;
+  auto per_rank_bytes = [&](auto allreduce) {
+    std::vector<std::int64_t> sent(n, 0);
     SimWorld world(n);
     world.Run([&](Communicator& comm) {
       auto data = RankPayload(comm.rank(), len);
-      GroupAllreduceRing(comm, RankGroup::World(comm), data, 1500);
+      allreduce(comm, data);
+      sent[static_cast<std::size_t>(comm.rank())] = comm.bytes_sent();
     });
-    ring_bytes = world.total_bytes();
+    std::int64_t sum = 0;
+    for (const std::int64_t b : sent) sum += b;
+    EXPECT_EQ(sum, world.total_bytes());
+    return sent;
+  };
+  const auto ring = per_rank_bytes([](Communicator& comm, auto& data) {
+    GroupAllreduceRing(comm, RankGroup::World(comm), data, 1500);
+  });
+  const auto tree = per_rank_bytes([](Communicator& comm, auto& data) {
+    GroupAllreduceTree(comm, RankGroup::World(comm), data, 1500);
+  });
+
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(ring[static_cast<std::size_t>(r)], 2 * (n - 1) * buf / n)
+        << "ring rank " << r;
   }
-  {
-    SimWorld world(n);
-    world.Run([&](Communicator& comm) {
-      auto data = RankPayload(comm.rank(), len);
-      GroupAllreduceTree(comm, RankGroup::World(comm), data, 1500);
-    });
-    tree_bytes = world.total_bytes();
+  // Binomial tree rooted at 0: every non-root sends once up the reduce;
+  // in the broadcast rank 0 feeds 1, 2, 4; rank 1 feeds 3, 5; rank 2
+  // feeds 6; rank 3 feeds 7; ranks 4-7 are leaves.
+  const std::vector<std::int64_t> tree_want = {3 * buf, 3 * buf, 2 * buf,
+                                               2 * buf, buf,     buf,
+                                               buf,     buf};
+  EXPECT_EQ(tree, tree_want);
+
+  std::int64_t ring_total = 0, tree_total = 0;
+  for (int r = 0; r < n; ++r) {
+    ring_total += ring[static_cast<std::size_t>(r)];
+    tree_total += tree[static_cast<std::size_t>(r)];
   }
-  // Ring total bytes = n * 2*(n-1)/n * len * 4 = 2*(n-1)*len*4.
-  EXPECT_EQ(ring_bytes, 2 * (n - 1) * static_cast<std::int64_t>(len) * 4);
-  // Tree: (n-1) sends for reduce + (n-1) for broadcast, each full length.
-  EXPECT_EQ(tree_bytes, 2 * (n - 1) * static_cast<std::int64_t>(len) * 4);
-  // Same totals, but the tree concentrates traffic: per-rank max matters,
-  // which netsim models; here we only validate totals.
+  EXPECT_EQ(ring_total, 2 * (n - 1) * buf);
+  EXPECT_EQ(tree_total, ring_total);
+  EXPECT_GT(*std::max_element(tree.begin(), tree.end()),
+            *std::max_element(ring.begin(), ring.end()));
 }
 
 }  // namespace

@@ -502,7 +502,7 @@ void CheckChaosOutcome(const TrainRunResult& result) {
                         static_cast<std::size_t>(kNumClimateClasses), 1.0f),
                     0);
   EXPECT_EQ(result.resync_bytes,
-            2 * probe.ParameterCount() *
+            2 * ParameterCount(probe.model()) *
                 static_cast<std::int64_t>(sizeof(float)));
 
   // Every step index was filled in by the lowest live rank.

@@ -26,7 +26,7 @@ TEST(SpecAgreement, TiramisuParamsMatchRealModel) {
     Rng rng(1);
     Tiramisu model(cfg, rng);
     const ArchSpec spec = BuildTiramisuSpec(cfg, 64, 64);
-    EXPECT_EQ(spec.TotalParams(), model.ParameterCount())
+    EXPECT_EQ(spec.TotalParams(), ParameterCount(model))
         << "growth=" << cfg.growth_rate;
   }
 }
@@ -37,7 +37,7 @@ TEST(SpecAgreement, DeepLabParamsMatchRealModel) {
     Rng rng(1);
     DeepLabV3Plus model(cfg, rng);
     const ArchSpec spec = BuildDeepLabSpec(cfg, 64, 64);
-    EXPECT_EQ(spec.TotalParams(), model.ParameterCount())
+    EXPECT_EQ(spec.TotalParams(), ParameterCount(model))
         << "stem=" << cfg.encoder.stem_features;
   }
 }
@@ -48,7 +48,7 @@ TEST(SpecAgreement, QuarterResDecoderVariantParamsMatch) {
   Rng rng(1);
   DeepLabV3Plus model(cfg, rng);
   const ArchSpec spec = BuildDeepLabSpec(cfg, 64, 64);
-  EXPECT_EQ(spec.TotalParams(), model.ParameterCount());
+  EXPECT_EQ(spec.TotalParams(), ParameterCount(model));
 }
 
 TEST(SpecAgreement, FinalOpRestoresInputResolution) {

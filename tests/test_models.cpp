@@ -138,8 +138,8 @@ TEST(Tiramisu, ModifiedHasComparableParameterCountToOriginal) {
   Rng rng(11);
   Tiramisu original(Tiramisu::Config::Original(), rng);
   Tiramisu modified(Tiramisu::Config::Modified(), rng);
-  const double ratio = static_cast<double>(modified.ParameterCount()) /
-                       static_cast<double>(original.ParameterCount());
+  const double ratio = static_cast<double>(ParameterCount(modified)) /
+                       static_cast<double>(ParameterCount(original));
   EXPECT_GT(ratio, 0.5);
   EXPECT_LT(ratio, 4.0);
 }
@@ -147,7 +147,7 @@ TEST(Tiramisu, ModifiedHasComparableParameterCountToOriginal) {
 TEST(Tiramisu, FP16ForwardFinite) {
   Rng rng(12);
   Tiramisu net(Tiramisu::Config::Downscaled(4), rng);
-  net.SetPrecisionAll(Precision::kFP16);
+  net.SetPrecision(Precision::kFP16);
   const Tensor x = RandomInput(TensorShape::NCHW(1, 4, 16, 16), 13);
   const Tensor y = net.Forward(x, false);
   EXPECT_TRUE(y.AllFinite());
@@ -269,7 +269,7 @@ TEST(DeepLabV3Plus, PaperConfigShapes) {
   const auto out = net.OutputShape(TensorShape::NCHW(1, 16, 768, 1152));
   EXPECT_EQ(out, TensorShape::NCHW(1, 3, 768, 1152));
   // ResNet-50 core: parameter count in the tens of millions.
-  const auto params = net.ParameterCount();
+  const auto params = ParameterCount(net);
   EXPECT_GT(params, 20'000'000);
   EXPECT_LT(params, 80'000'000);
 }
@@ -294,7 +294,7 @@ TEST(DeepLabV3Plus, QuarterResDecoderVariant) {
   // The quarter-res variant must be cheaper in parameters than full-res.
   Rng rng2(29);
   DeepLabV3Plus full(DeepLabV3Plus::Config::Downscaled(4), rng2);
-  EXPECT_LT(net.ParameterCount(), full.ParameterCount());
+  EXPECT_LT(ParameterCount(net), ParameterCount(full));
 }
 
 TEST(DeepLabV3Plus, TrainingStepReducesLoss) {
@@ -319,6 +319,94 @@ TEST(DeepLabV3Plus, TrainingStepReducesLoss) {
     last_loss = res.loss;
   }
   EXPECT_LT(last_loss, first_loss);
+}
+
+// ----------------------------------------------------------- LayerTree --
+//
+// Params() order sets the exchanger's bucket contents, the LARC walk and
+// the checkpoint layout, so the name sequences of the trainer's default
+// models are pinned: a reordered or incomplete child list changes them.
+
+struct NameSequence {
+  std::size_t count = 0;
+  std::uint64_t fnv1a = 0xcbf29ce484222325ull;
+  std::string joined;  // for the failure message
+
+  void Add(const std::string& name) {
+    ++count;
+    for (const char c : name + '\n') {
+      fnv1a = (fnv1a ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+    joined += name + ' ';
+  }
+};
+
+NameSequence ParamNames(Layer& model) {
+  NameSequence seq;
+  for (const Param* p : model.Params()) seq.Add(p->name);
+  return seq;
+}
+
+NameSequence StateNames(Layer& model) {
+  NameSequence seq;
+  for (const auto& s : model.StateTensors()) seq.Add(s.name);
+  return seq;
+}
+
+void ExpectSequence(const NameSequence& got, std::size_t count,
+                    std::uint64_t fnv1a) {
+  EXPECT_EQ(got.count, count) << got.joined;
+  EXPECT_EQ(got.fnv1a, fnv1a) << std::hex << got.fnv1a << ": " << got.joined;
+}
+
+TEST(LayerTree, TiramisuParamAndStateOrderIsPinned) {
+  Rng rng(1);
+  Tiramisu net(Tiramisu::Config::Downscaled(8), rng);
+  ExpectSequence(ParamNames(net), 26, 0x3ca1d68a6da4fff4ull);
+  ExpectSequence(StateNames(net), 14, 0xf60a0786be01ff45ull);
+}
+
+TEST(LayerTree, DeepLabParamAndStateOrderIsPinned) {
+  Rng rng(1);
+  DeepLabV3Plus net(DeepLabV3Plus::Config::Downscaled(8), rng);
+  ExpectSequence(ParamNames(net), 90, 0xd1f819518421a47cull);
+  ExpectSequence(StateNames(net), 58, 0x10be6f3fbf618eb3ull);
+}
+
+void CollectTree(Layer& layer, std::vector<Layer*>& out) {
+  out.push_back(&layer);
+  for (Layer* child : layer.Children()) CollectTree(*child, out);
+}
+
+// One SetPrecision on the root reaches every node of the tree, no node is
+// listed by two containers, and no parameter is listed twice.
+void ExpectTreeContract(Layer& root) {
+  root.SetPrecision(Precision::kFP16);
+  std::vector<Layer*> nodes;
+  CollectTree(root, nodes);
+  EXPECT_GT(nodes.size(), 1u);
+  std::set<const Layer*> seen_nodes;
+  for (const Layer* node : nodes) {
+    EXPECT_TRUE(seen_nodes.insert(node).second) << "listed twice: "
+                                                << node->name();
+    EXPECT_EQ(node->precision(), Precision::kFP16) << node->name();
+  }
+  std::set<const Param*> seen_params;
+  for (const Param* p : root.Params()) {
+    EXPECT_TRUE(seen_params.insert(p).second) << "param twice: " << p->name;
+  }
+}
+
+TEST(LayerTree, SetPrecisionReachesEveryNodeAndParamsAreUnique) {
+  Rng rng(1);
+  Tiramisu tiramisu(Tiramisu::Config::Downscaled(8), rng);
+  ExpectTreeContract(tiramisu);
+  DeepLabV3Plus deeplab(DeepLabV3Plus::Config::Downscaled(8), rng);
+  ExpectTreeContract(deeplab);
+  auto quarter = DeepLabV3Plus::Config::Downscaled(8);
+  quarter.full_res_decoder = false;
+  DeepLabV3Plus deeplab_quarter(quarter, rng);
+  ExpectTreeContract(deeplab_quarter);
 }
 
 }  // namespace

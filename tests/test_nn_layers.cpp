@@ -588,7 +588,7 @@ TEST(Sequential, PrecisionPropagates) {
   Sequential seq("s");
   auto& conv =
       seq.Emplace<Conv2d>("c", Conv2d::Options{.in_c = 1, .out_c = 1}, rng);
-  seq.SetPrecisionRecursive(Precision::kFP16);
+  seq.SetPrecision(Precision::kFP16);
   EXPECT_EQ(conv.precision(), Precision::kFP16);
 }
 
@@ -597,7 +597,7 @@ TEST(Sequential, FP16OutputsAreHalfRepresentable) {
   Sequential seq("s");
   seq.Emplace<Conv2d>("c", Conv2d::Options{.in_c = 2, .out_c = 2}, rng);
   seq.Emplace<ReLU>("r");
-  seq.SetPrecisionRecursive(Precision::kFP16);
+  seq.SetPrecision(Precision::kFP16);
   const Tensor x = RandomInput(TensorShape::NCHW(1, 2, 5, 5), 17);
   const Tensor y = seq.Forward(x, false);
   for (std::int64_t i = 0; i < y.NumElements(); ++i) {

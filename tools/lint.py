@@ -497,6 +497,63 @@ class AllocGuardIncludeRule(Rule):
                           "common/alloc_tracker.hpp")
 
 
+class LayerChildrenRule(Rule):
+    id = "layer-children"
+    doc = ("a src/ class deriving from Layer that owns a "
+           "std::unique_ptr<…> / LayerPtr member (or a vector of them) "
+           "must declare Children(): Params(), StateTensors() and "
+           "SetPrecision() reach sublayers only through that list "
+           "(DESIGN §5).")
+
+    CLASS_RE = re.compile(r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:"
+                          r"([^{;]*)\{")
+    OWNER_RE = re.compile(
+        r"^\s*(?:std::vector\s*<\s*)?(?:std::unique_ptr\s*<.*>|LayerPtr)"
+        r"\s*>?\s*\w+\s*(?:=.*|\{.*\})?$", re.S)
+    ACCESS_RE = re.compile(r"\b(?:public|private|protected)\s*:")
+    CHILDREN_RE = re.compile(r"\bChildren\s*\(")
+
+    def check(self, ctx: FileContext, linter: Linter) -> None:
+        if not ctx.rel.as_posix().startswith("src/"):
+            return
+        code = "\n".join(ctx.code_lines)
+        layers = {"Layer"}  # plus classes this file derives from them
+        for m in self.CLASS_RE.finditer(code):
+            bases = set(re.findall(r"\w+", m.group(2)))
+            if not bases & layers:
+                continue
+            layers.add(m.group(1))
+            body = self._top_level(code, m.end())
+            if self.CHILDREN_RE.search(body):
+                continue
+            statements = self.ACCESS_RE.sub(";", body).split(";")
+            if any(self.OWNER_RE.match(st) for st in statements):
+                lineno = code.count("\n", 0, m.start()) + 1
+                linter.report_line(
+                    ctx, lineno, self.id,
+                    f"{m.group(1)} owns sublayers but declares no "
+                    "Children(); list them there, in Params() order")
+
+    @staticmethod
+    def _top_level(code: str, start: int) -> str:
+        """The class body from just past its `{`, with nested blocks
+        (function bodies, nested types) replaced by `;`."""
+        out: list[str] = []
+        depth = 1
+        for c in code[start:]:
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+                if depth == 1:
+                    out.append(";")
+            elif depth == 1:
+                out.append(c)
+        return "".join(out)
+
+
 class RepoRule:
     """A cross-file rule: runs once per lint run over the whole tree."""
 
@@ -559,6 +616,7 @@ RULES: list[Rule] = [
     HotPathVectorRule(),
     EnvPrefixRule(),
     AllocGuardIncludeRule(),
+    LayerChildrenRule(),
 ]
 
 REPO_RULES: list[RepoRule] = [

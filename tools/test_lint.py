@@ -66,7 +66,7 @@ class RegistryTest(unittest.TestCase):
             {"pragma-once", "endl", "raw-mutex", "naked-new",
              "unbounded-recv", "include-path", "guarded-include",
              "hot-path-alloc", "hot-path-vector", "env-prefix",
-             "alloc-guard-include"})
+             "alloc-guard-include", "layer-children"})
         self.assertEqual({r.id for r in lint.REPO_RULES}, {"knob-doc"})
 
 
@@ -353,6 +353,79 @@ class AllocGuardIncludeTest(unittest.TestCase):
         f = run_lint({"src/common/alloc_tracker.cpp":
                       "void f() { EXACLIM_ALLOC_SITE(s, \"x\"); }\n"})
         self.assertNotIn("alloc-guard-include", rules_fired(f))
+
+
+class LayerChildrenTest(unittest.TestCase):
+    HEAD = "#pragma once\n"
+
+    def lint_src(self, body: str) -> set[str]:
+        return rules_fired(run_lint({"src/a.hpp": self.HEAD + body}))
+
+    def test_owner_without_children_fires(self):
+        fired = self.lint_src(
+            "class Block : public Layer {\n"
+            " public:\n"
+            "  Tensor Forward(const Tensor& x, bool) override { return x; }\n"
+            " private:\n"
+            "  std::unique_ptr<Conv2d> conv_;\n"
+            "};\n")
+        self.assertIn("layer-children", fired)
+
+    def test_vector_and_layerptr_members_fire(self):
+        for member in ("std::vector<std::unique_ptr<Sequential>> units_;",
+                       "std::vector<LayerPtr> layers_;",
+                       "LayerPtr head_{};"):
+            fired = self.lint_src("class B : public Layer {\n"
+                                  f"  {member}\n}};\n")
+            self.assertIn("layer-children", fired, member)
+
+    def test_subclass_of_in_file_layer_fires(self):
+        fired = self.lint_src(
+            "class Base : public Layer {\n"
+            "  std::vector<Layer*> Children() override { return {}; }\n"
+            "};\n"
+            "class Derived final : public Base {\n"
+            "  std::unique_ptr<ReLU> relu_;\n"
+            "};\n")
+        self.assertIn("layer-children", fired)
+
+    def test_children_declared_clean(self):
+        fired = self.lint_src(
+            "class Block : public Layer {\n"
+            " public:\n"
+            "  std::vector<Layer*> Children() override {\n"
+            "    return ChildList(conv_);\n"
+            "  }\n"
+            " private:\n"
+            "  std::unique_ptr<Conv2d> conv_;\n"
+            "};\n")
+        self.assertNotIn("layer-children", fired)
+
+    def test_non_owning_uses_clean(self):
+        # Parameters, locals inside bodies and non-Layer classes own no
+        # sublayer of a Layer.
+        fired = self.lint_src(
+            "class Seq : public Layer {\n"
+            "  void Append(LayerPtr layer) { auto p = std::move(layer); }\n"
+            "  std::unique_ptr<Conv2d> Make();\n"
+            "  Tensor cached_;\n"
+            "};\n"
+            "class Stack {\n"
+            "  std::vector<std::unique_ptr<Conv2d>> convs_;\n"
+            "};\n")
+        self.assertNotIn("layer-children", fired)
+
+    def test_outside_src_clean(self):
+        f = run_lint({"tests/a.cpp": "class B : public Layer {\n"
+                                     "  std::unique_ptr<ReLU> r_;\n};\n"})
+        self.assertNotIn("layer-children", rules_fired(f))
+
+    def test_suppressed(self):
+        fired = self.lint_src(
+            "class B : public Layer {  // lint:allow(layer-children)\n"
+            "  std::unique_ptr<Workspace> ws_;\n"
+            "};\n")
+        self.assertNotIn("layer-children", fired)
 
 
 class KnobDocTest(unittest.TestCase):
